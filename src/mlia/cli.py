@@ -107,7 +107,7 @@ def _emit(text: str, output: str | None):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _csv_text(rows: list[list]) -> str:

@@ -20,9 +20,10 @@ receivers, and the last layer a plain PAM slice at receiver K.
 The nearest-point search sorts the composite constellation once per
 (receiver, layer, P) and then decodes whole trial batches with binary
 search; ties are broken toward the lexicographically smallest integer
-vector.  Minimum distances (brute force over the same enumeration) and the
-deterministic residual-interference bound are computed from the same
-machinery.  Everything is reproducible from (seed, config).
+vector.  The reported ``dmin`` (the smallest nonzero point magnitude, read
+off the same sorted enumeration) and the deterministic
+residual-interference bound are computed from the same machinery.
+Everything is reproducible from (seed, config).
 """
 
 from __future__ import annotations
@@ -58,114 +59,171 @@ DEFAULT_ENUM_CAP = 500_000
 # nearest-point decoding over an explicit composite constellation
 
 
+def _dot_rows(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """matrix @ weights as multiply-adds over the columns in index order.
+
+    The inner dimension is small on every per-trial path (at most K, or
+    the data and interference dimensions the cap bounds), so the explicit
+    sum beats a BLAS call and wakes no BLAS threads.
+    """
+    acc = matrix[:, 0] * weights[0]
+    for d in range(1, len(weights)):
+        acc += matrix[:, d] * weights[d]
+    return acc
+
+
 @dataclass(eq=False)
 class NearestPointDecoder:
     """Exhaustive min-distance decoder for scale * sum_d dim[d] * q_d.
 
     Enumerates every integer vector with |q_d| <= half_range[d]
     (lexicographic order, first coordinate most significant), sorts the
-    point values once, then decodes observations by binary search.  An
-    exact distance tie resolves to the lexicographically smallest vector.
+    point values once, then decodes observations by binary search.  Row i
+    of ``table`` is the lexicographically smallest integer vector whose
+    value is ``sorted_values[i]``, stored in the smallest signed integer
+    type that holds the half ranges.  An exact distance tie resolves to
+    the lexicographically smallest vector.
     """
 
     scale: float
     dim_values: np.ndarray
     half_ranges: np.ndarray
-    sorted_values: np.ndarray = field(init=False)
-    _order: np.ndarray = field(init=False)
-    _rep: np.ndarray = field(init=False)
+    table: np.ndarray = field(init=False)
+    _padded: np.ndarray = field(init=False)  # -inf, sorted values, +inf
 
     def __post_init__(self):
-        sizes = 2 * self.half_ranges + 1
+        halves = [int(h) for h in self.half_ranges]
+        sizes = [2 * half + 1 for half in halves]
         values = np.zeros(1)
-        for dim, half in zip(self.dim_values, self.half_ranges):
+        for dim, half in zip(self.dim_values, halves):
             step = self.scale * dim
             offsets = step * np.arange(-half, half + 1)
             values = (values[:, None] + offsets[None, :]).ravel()
+        top = max(halves)
+        dtype = next(
+            t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= top
+        )
+        n_dims = len(halves)
+        table = np.empty(sizes + [n_dims], dtype=dtype)
+        for d, half in enumerate(halves):
+            shape = [1] * n_dims
+            shape[d] = sizes[d]
+            table[..., d] = np.arange(-half, half + 1, dtype=dtype).reshape(shape)
         order = np.argsort(values, kind="stable")
-        self.sorted_values = values[order]
-        self._order = order
-        # representative (lexicographically smallest) combo per duplicate
-        # value run; duplicates only occur on measure-zero channel draws
-        rep = order.copy()
-        dup = np.flatnonzero(np.diff(self.sorted_values) == 0)
-        if dup.size:
-            for start in dup:
-                if start and self.sorted_values[start - 1] == self.sorted_values[start]:
-                    continue  # not a run head
-                stop = start + 1
-                while (
-                    stop < len(rep)
-                    and self.sorted_values[stop] == self.sorted_values[start]
-                ):
-                    stop += 1
-                rep[start:stop] = rep[start:stop].min()
-        self._rep = rep
-        self._sizes = sizes
+        self._padded = np.empty(len(values) + 2)
+        self._padded[0], self._padded[-1] = -np.inf, np.inf
+        values.take(order, out=self._padded[1:-1])
+        # a stable sort leaves the lowest enumeration index, which is the
+        # lexicographically smallest vector, at the head of each run of
+        # equal values; duplicates only occur on measure-zero channel draws
+        sv = self.sorted_values
+        dup = sv[1:] == sv[:-1]
+        if dup.any():
+            head = np.arange(len(sv))
+            head[1:][dup] = 0
+            np.maximum.accumulate(head, out=head)
+            order = order[head]
+        self.table = table.reshape(-1, n_dims).take(order, axis=0)
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        return self._padded[1:-1]
 
     @property
     def size(self) -> int:
-        return len(self.sorted_values)
-
-    @property
-    def zero_index(self) -> int:
-        """Enumeration index of the all-zero vector."""
-        idx = 0
-        for half, size in zip(self.half_ranges, self._sizes):
-            idx = idx * size + half
-        return int(idx)
+        return len(self._padded) - 2
 
     def decode(self, obs: np.ndarray) -> np.ndarray:
-        """Enumeration indices of the nearest points to each observation."""
+        """Integer vectors (rows) of the nearest points to each observation."""
         obs = np.atleast_1d(np.asarray(obs, dtype=float))
-        sv = self.sorted_values
-        pos = np.searchsorted(sv, obs)
-        left = np.clip(pos - 1, 0, self.size - 1)
-        right = np.clip(pos, 0, self.size - 1)
-        d_left = np.abs(obs - sv[left])
-        d_right = np.abs(obs - sv[right])
-        chosen = np.where(d_right < d_left, right, left)
-        combos = self._rep[chosen]
-        tie = d_right == d_left
-        if np.any(tie):
-            combos = combos.copy()
-            combos[tie] = np.minimum(self._rep[left[tie]], self._rep[right[tie]])
-        return combos
-
-    def unravel(self, combos: np.ndarray) -> np.ndarray:
-        """Integer vectors (rows) for enumeration indices."""
-        combos = np.atleast_1d(np.asarray(combos)).astype(np.int64)
-        out = np.empty((len(combos), len(self.dim_values)), dtype=np.int64)
-        rest = combos.copy()
-        for d in range(len(self.dim_values) - 1, -1, -1):
-            size = self._sizes[d]
-            out[:, d] = rest % size - self.half_ranges[d]
-            rest //= size
-        return out
+        pad = self._padded
+        # searching the unpadded values keeps pos + 1 in range even for NaN;
+        # pad[pos] and pad[pos + 1] are the neighbours below and above obs,
+        # so both differences equal |obs - neighbour| bitwise, and the
+        # sentinels make an observation beyond either extreme pick that
+        # extreme.  Clipping keeps an observation of -inf on the lowest point.
+        pos = np.searchsorted(self.sorted_values, obs)
+        d_left = obs - pad.take(pos)
+        d_right = pad.take(pos + 1) - obs
+        chosen = pos - 1 + (d_right < d_left)
+        rows = self.table.take(chosen, axis=0, mode="clip")
+        tie = np.flatnonzero(d_right == d_left)
+        if tie.size:
+            left = self.table.take(pos[tie] - 1, axis=0, mode="clip")
+            right = self.table.take(pos[tie], axis=0, mode="clip")
+            first = (left != right).argmax(axis=1)
+            picks = np.arange(tie.size)
+            smaller = right[picks, first] < left[picks, first]
+            rows[tie[smaller]] = right[smaller]
+        return rows
 
     def point_value(self, vectors: np.ndarray) -> np.ndarray:
         """scale * sum_d dim[d] * q_d for integer vectors (rows)."""
-        return self.scale * (np.atleast_2d(vectors) @ self.dim_values)
+        return self.scale * _dot_rows(np.atleast_2d(vectors), self.dim_values)
 
     def min_distance(self) -> float:
-        """Smallest |point value| over all nonzero integer vectors."""
+        """Smallest |point value| over all nonzero integer vectors.
+
+        This is the distance from the origin to the nearest other point,
+        not the smallest distance between two constellation points, so
+        dmin/2 is not a decoding margin.
+        """
         sv = self.sorted_values
         pos = int(np.searchsorted(sv, 0.0))
-        lo = max(0, pos - 3)
-        hi = min(self.size, pos + 4)
-        zero = self.zero_index
-        window = [abs(sv[i]) for i in range(lo, hi) if self._order[i] != zero]
-        return float(min(window))
+        window = np.sort(np.abs(sv[max(0, pos - 3) : pos + 4]))
+        # the all-zero vector accounts for one zero in the window; a second
+        # zero is another vector of value zero, and then the answer is zero
+        return float(window[1])
+
+
+def enumeration_log10(n_dims: int, m_dims: int, k_layer: int, q: int) -> float:
+    """log10 of the search-space size of an alignment-layer decode."""
+    return n_dims * math.log10(2 * q + 1) + (m_dims - n_dims) * math.log10(
+        2 * k_layer * q + 1
+    )
 
 
 def enumeration_size(n_dims: int, m_dims: int, k_layer: int, q: int) -> int:
-    """Search-space size of an alignment-layer decode."""
+    """Exact search-space size of an alignment-layer decode.
+
+    The integer has about ``enumeration_log10`` digits; ``_check_cap``
+    builds it only when the size is near the cap.
+    """
     return (2 * q + 1) ** n_dims * (2 * k_layer * q + 1) ** (m_dims - n_dims)
 
 
-def _check_cap(what: str, size: int, cap: int):
+def _check_cap(what: str, n_dims: int, m_dims: int, k_layer: int, q: int, cap: int):
+    """Refuse a search space above ``cap`` without building a huge integer.
+
+    Sizes within a decade of the cap, or below 10^19, are compared exactly;
+    the latter keep their exact count in the message.
+    """
+    log10_size = enumeration_log10(n_dims, m_dims, k_layer, q)
+    if cap < 1 or log10_size > max(math.log10(cap), 18) + 1:
+        raise EnumerationCapError(what, None, cap, log10_size=log10_size)
+    size = enumeration_size(n_dims, m_dims, k_layer, q)
     if size > cap:
         raise EnumerationCapError(what, size, cap)
+
+
+def _check_alignment_cap(plan: LayerPlan, k: int, ell: int, cap: int):
+    lay = plan.layer(ell)
+    _check_cap(
+        f"decode search for (user {k}, layer {ell})",
+        lay.n_dims, lay.m_dims, lay.k_users, lay.q_level, cap,
+    )
+
+
+def _check_bank_caps(plan: LayerPlan, cap: int):
+    """Every cap check of ``build_decoder_bank``, from the plan alone."""
+    kk = plan.k_users
+    for ell in range(1, kk - 1):
+        if plan.layer(ell).active:
+            _check_alignment_cap(plan, ell, ell, cap)
+    if plan.layer(kk - 1).active:
+        _check_cap("pair decode", 2, 2, 1, plan.layer(kk - 1).q_level, cap)
+    if plan.layer(kk).active:
+        _check_cap("final-layer decode", 1, 1, 1, plan.layer(kk).q_level, cap)
 
 
 def _alignment_decoder(
@@ -175,12 +233,9 @@ def _alignment_decoder(
     gamma: float,
     k: int,
     ell: int,
-    cap: int,
 ) -> NearestPointDecoder:
     lay = plan.layer(ell)
     q = lay.q_level
-    size = enumeration_size(len(s_set), len(s_set) + len(i_set), lay.k_users, q)
-    _check_cap(f"decode search for (user {k}, layer {ell})", size, cap)
     exponent = float(plan.alpha.alpha(k) - lay.power_offset)
     scale = gamma / q * plan.p ** (exponent / 2)
     dims = np.concatenate([s_set.values, i_set.values])
@@ -199,8 +254,9 @@ def decode_layer(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-point estimate (q, q') of one alignment-layer observation."""
-    dec = _alignment_decoder(s_set, i_set, plan, gamma, k, ell, cap)
-    vec = dec.unravel(dec.decode(obs))[0]
+    _check_alignment_cap(plan, k, ell, cap)
+    dec = _alignment_decoder(s_set, i_set, plan, gamma, k, ell)
+    vec = dec.decode(obs)[0]
     n = len(s_set)
     return vec[:n], vec[n:]
 
@@ -213,11 +269,12 @@ def dmin_bruteforce(
     gamma: float,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> float:
-    """Exact minimum distance of the composite constellation at (k, ell)."""
+    """Smallest nonzero point magnitude of the composite constellation at
+    (k, ell): its distance from the origin (see ``min_distance``)."""
+    _check_alignment_cap(plan, k, ell, cap)
     s_set = desired_set(channel, k, ell, plan.n)
     i_set = interference_set(channel, k, ell, plan.n)
-    dec = _alignment_decoder(s_set, i_set, plan, gamma, k, ell, cap)
-    return dec.min_distance()
+    return _alignment_decoder(s_set, i_set, plan, gamma, k, ell).min_distance()
 
 
 def t_bound(
@@ -282,16 +339,16 @@ def transmit_batch(
     symbols: dict[tuple[int, int], np.ndarray],
     trials: int,
 ) -> np.ndarray:
-    """(trials, K) matrix of transmitted signals."""
+    """(trials, K) matrix of transmitted signals, column-major."""
     kk = len(configs)
-    x = np.zeros((trials, kk))
+    x = np.zeros((kk, trials))
     for k, config in configs.items():
         for lay in config.layers:
             if not lay.active:
                 continue
             q = symbols[(k, lay.index)]
-            x[:, k - 1] += lay.power_factor * lay.constellation.xi * (q @ lay.beam)
-    return x
+            x[k - 1] += lay.power_factor * lay.constellation.xi * _dot_rows(q, lay.beam)
+    return x.T
 
 
 def synthesize_batch(
@@ -301,11 +358,15 @@ def synthesize_batch(
     symbols: dict[tuple[int, int], np.ndarray],
     noise: np.ndarray,
 ) -> np.ndarray:
-    """(trials, K) received observations y = sqrt(P^a) (x h^T) + z."""
+    """(trials, K) received observations y = sqrt(P^a) (x h^T) + z,
+    column-major."""
     trials = noise.shape[0]
     x = transmit_batch(configs, symbols, trials)
-    gains = np.array([plan.p ** (float(a) / 2) for a in plan.alpha.alphas])
-    return (x @ channel.h.T) * gains[None, :] + noise
+    y = np.empty((channel.k_users, trials))
+    for k, a in enumerate(plan.alpha.alphas):
+        gain = plan.p ** (float(a) / 2)
+        y[k] = _dot_rows(x, channel.h[k]) * gain + noise[:, k]
+    return y.T
 
 
 def synthesize_frame(
@@ -417,6 +478,7 @@ def build_decoder_bank(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> DecoderBank:
     kk = plan.k_users
+    _check_bank_caps(plan, cap)  # before any set is built
     if gamma is None:
         _, gamma = power_normalizer(channel, plan)
     sets = {}
@@ -432,9 +494,7 @@ def build_decoder_bank(
             s_set = desired_set(channel, k, ell, plan.n)
             i_set = interference_set(channel, k, ell, plan.n)
             sets[(k, ell)] = (s_set, i_set)
-            decoders[(k, ell)] = _alignment_decoder(
-                s_set, i_set, plan, gamma, k, ell, cap
-            )
+            decoders[(k, ell)] = _alignment_decoder(s_set, i_set, plan, gamma, k, ell)
             # positions of h_kj * V(i) inside the interference code list
             maps = {}
             for j in range(ell, kk + 1):
@@ -451,7 +511,6 @@ def build_decoder_bank(
     lay = plan.layer(kk - 1)
     if lay.active:
         q = lay.q_level
-        _check_cap("pair decode", (2 * q + 1) ** 2, cap)
         for k in (kk - 1, kk):
             exponent = float(plan.alpha.alpha(k) - lay.power_offset)
             scale = gamma / q * plan.p ** (exponent / 2)
@@ -464,7 +523,6 @@ def build_decoder_bank(
     lay = plan.layer(kk)
     if lay.active:
         q = lay.q_level
-        _check_cap("final-layer decode", 2 * q + 1, cap)
         exponent = float(plan.alpha.alpha(kk) - lay.power_offset)
         scale = gamma / q * plan.p ** (exponent / 2)
         last_decoder = NearestPointDecoder(
@@ -520,7 +578,8 @@ def successive_decode_batch(
     plan = bank.plan
     kk = plan.k_users
     force = force or {}
-    residual = np.array(y, dtype=float, copy=True)
+    # receiver-major: one contiguous row of observations per receiver
+    residual = np.array(np.transpose(y), dtype=float, order="C")
     decoded: dict[tuple[int, int], np.ndarray] = {}
     aggregates: dict[tuple[int, int], np.ndarray] = {}
     desired_ok: dict[tuple[int, int], np.ndarray] = {}
@@ -533,7 +592,7 @@ def successive_decode_batch(
         for k in range(ell, kk + 1):
             dec = bank.decoders[(k, ell)]
             n_data = len(bank.sets[(k, ell)][0])
-            vectors = dec.unravel(dec.decode(residual[:, k - 1]))
+            vectors = dec.decode(residual[k - 1])
             if (k, ell) in force:
                 fq, fqp = force[(k, ell)]
                 vectors = np.hstack(
@@ -542,7 +601,7 @@ def successive_decode_batch(
                         np.broadcast_to(fqp, (len(vectors), vectors.shape[1] - n_data)),
                     ]
                 ).astype(np.int64)
-            residual[:, k - 1] -= dec.point_value(vectors)
+            residual[k - 1] -= dec.point_value(vectors)
             q_hat, qp_hat = vectors[:, :n_data], vectors[:, n_data:]
             decoded[(k, ell)] = q_hat
             aggregates[(k, ell)] = qp_hat
@@ -555,14 +614,14 @@ def successive_decode_batch(
     if lay.active:
         for k in (kk - 1, kk):
             dec = bank.pair_decoders[k]
-            vectors = dec.unravel(dec.decode(residual[:, k - 1]))
+            vectors = dec.decode(residual[k - 1])
             if (k, kk - 1) in force:
                 fq, fqp = force[(k, kk - 1)]
                 vectors = np.broadcast_to(
                     np.concatenate([np.atleast_1d(fq), np.atleast_1d(fqp)]),
                     vectors.shape,
                 ).astype(np.int64)
-            residual[:, k - 1] -= dec.point_value(vectors)
+            residual[k - 1] -= dec.point_value(vectors)
             own = vectors[:, 0:1] if k == kk - 1 else vectors[:, 1:2]
             decoded[(k, kk - 1)] = own
             if truth is not None:
@@ -571,8 +630,8 @@ def successive_decode_batch(
     lay = plan.layer(kk)
     if lay.active:
         dec = bank.last_decoder
-        vectors = dec.unravel(dec.decode(residual[:, kk - 1]))
-        residual[:, kk - 1] -= dec.point_value(vectors)
+        vectors = dec.decode(residual[kk - 1])
+        residual[kk - 1] -= dec.point_value(vectors)
         decoded[(kk, kk)] = vectors
         if truth is not None:
             desired_ok[(kk, kk)] = np.all(vectors == truth[(kk, kk)], axis=1)
@@ -664,7 +723,9 @@ class SimReport:
             "layers": self.layers,
             "summaries": self.summaries,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
 
     def csv_rows(self) -> list[list]:
         header = ["p", "user", "layer", "trials", "errors", "ser", "dmin", "tbound"]
@@ -701,16 +762,19 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
     kk = alpha.k_users
     if config.trials < 0:
         raise ValueError("trials must be >= 0")
+    if not (math.isfinite(config.noise_std) and config.noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {config.noise_std}")
     for p in config.p_grid:  # validate the whole grid before any work
-        build_layer_plan(alpha, config.n, eps=config.eps, p=p)
+        _check_bank_caps(build_layer_plan(alpha, config.n, eps=config.eps, p=p),
+                         config.enum_cap)
     channel = sample_channel(kk, config.h_min, config.h_max, config.seed)
     cells = []
     layer_rows = []
     summaries = []
     for p in config.p_grid:
         plan = build_layer_plan(alpha, config.n, eps=config.eps, p=p)
-        _, gamma = power_normalizer(channel, plan)
-        bank = build_decoder_bank(channel, plan, gamma=gamma, cap=config.enum_cap)
+        bank = build_decoder_bank(channel, plan, cap=config.enum_cap)
+        gamma = bank.gamma
         configs = {
             k: build_transmit_config(channel, plan, k, gamma=gamma)
             for k in range(1, kk + 1)
@@ -749,7 +813,7 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
             if ell <= kk - 2:
                 tb = t_bound(channel, plan, k, ell, gamma)
                 if config.with_dmin:
-                    dmin = dmin_bruteforce(channel, k, ell, plan, gamma, config.enum_cap)
+                    dmin = bank.decoders[(k, ell)].min_distance()
             cells.append(
                 {
                     "p": p,

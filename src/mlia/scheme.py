@@ -40,12 +40,21 @@ def _format_count(value: int) -> str:
 
 
 class EnumerationCapError(Exception):
-    """An exhaustive enumeration would exceed its configured cap."""
+    """An exhaustive enumeration would exceed its configured cap.
 
-    def __init__(self, what: str, size: int, cap: int):
+    ``size`` is None for a count too large to build exactly; its base-10
+    logarithm ``log10_size`` names it instead.
+    """
+
+    def __init__(
+        self, what: str, size: int | None, cap: int, log10_size: float | None = None
+    ):
+        shown = (
+            _format_count(size) if size is not None
+            else f"about 10^{math.floor(log10_size)}"
+        )
         super().__init__(
-            f"{what}: enumeration size {_format_count(size)} exceeds cap "
-            f"{_format_count(cap)}"
+            f"{what}: enumeration size {shown} exceeds cap {_format_count(cap)}"
         )
         self.size = size
         self.cap = cap
@@ -144,8 +153,8 @@ def build_layer_plan(
     """
     if n < 1:
         raise ValueError("monomial exponent range n must be >= 1")
-    if p < 1.0:
-        raise ValueError("nominal power P must be >= 1")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"nominal power P must be finite and >= 1, got {p}")
     if eps is None:
         eps = default_eps(alpha, n)
     eps = Fraction(eps)

@@ -187,7 +187,13 @@ def test_criterion_4_cardinalities():
                         i_set = interference_set(channel, recv, ell, n)
                         assert len(s_set) == n_dims
                         assert len(i_set) == m_dims - n_dims
-                        assert np.intersect1d(s_set.codes, i_set.codes).size == 0
+                        # both code lists are strictly increasing, so a
+                        # sorted merge decides disjointness exactly
+                        assert np.all(np.diff(s_set.codes) > 0)
+                        assert np.all(np.diff(i_set.codes) > 0)
+                        pos = np.searchsorted(i_set.codes, s_set.codes)
+                        pos = np.minimum(pos, len(i_set) - 1)
+                        assert not np.any(i_set.codes[pos] == s_set.codes)
 
 
 def test_criterion_5_transmit_power():

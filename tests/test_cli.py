@@ -168,3 +168,33 @@ def test_unknown_flag_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "gdof", "--frobnicate")
     assert code == 1
     assert err
+
+
+def test_simulate_rejects_non_finite_power(capsys):
+    for p_grid in ("inf", "nan", "1e6,inf"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--alphas", "1/2,4/5,1", "--p-grid", p_grid,
+            "--trials", "10",
+        )
+        assert code == 1 and not out
+        assert "finite" in err and "Traceback" not in err
+
+
+def test_simulate_rejects_bad_noise_std(capsys):
+    for noise_std in ("nan", "-1", "inf"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--alphas", "1/2,4/5,1", "--p-grid", "1e8",
+            "--trials", "100", "--noise-std", noise_std, "--eps", "1499/10000",
+        )
+        assert code == 1 and not out
+        assert "noise_std" in err
+
+
+def test_json_output_refuses_nan(capsys):
+    # mindist does not use the noise level, but its report echoes it
+    code, out, err = run_cli(
+        capsys, "mindist", "--alphas", "1/2,4/5,1", "--p-grid", "1e4",
+        "--noise-std", "nan",
+    )
+    assert code == 1 and not out
+    assert "JSON" in err

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlia.channel import sample_channel
 from mlia.gdof_core import AlphaProfile
@@ -24,6 +26,7 @@ from mlia.link_sim import (
     synthesize_batch,
     synthesize_frame,
     t_bound,
+    transmit_batch,
 )
 from mlia.scheme import (
     EnumerationCapError,
@@ -182,13 +185,47 @@ def test_decode_layer_cap_guard():
         decode_layer(0.0, 1, 1, s_set, i_set, plan, gamma, cap=10)
 
 
+def test_bank_cap_is_exact_at_the_cap():
+    channel, plan, gamma, _ = make_setup(1e8, eps=EPS_FLAT)
+    build_decoder_bank(channel, plan, gamma=gamma, cap=147)  # 3 * 7 * 7 points
+    with pytest.raises(
+        EnumerationCapError,
+        match=r"^decode search for \(user 1, layer 1\): enumeration size 147 exceeds cap 146$",
+    ):
+        build_decoder_bank(channel, plan, gamma=gamma, cap=146)
+
+
+def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
+    """K=5, n=2 needs about 10^3.8M points at layer 1: the refusal names the
+    size from logarithms and builds no monomial set."""
+    import mlia.cli as cli
+    import mlia.link_sim as link_sim
+    import mlia.scheme as scheme
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dimension set was built before the cap check")
+
+    for module, name in (
+        (scheme, "monomial_set"), (link_sim, "monomial_set"),
+        (link_sim, "desired_set"), (link_sim, "interference_set"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    code = cli.main([
+        "simulate", "--alphas", "0.2,0.4,0.6,0.8,1.0", "--n", "2",
+        "--p-grid", "1e6,1e8", "--trials", "1000",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "decode search for (user 1, layer 1): enumeration size about 10^" in err
+
+
 def test_nearest_point_tie_breaks_lexicographically():
     # exact midpoint between two points: the smaller integer vector wins
     dec = NearestPointDecoder(
         scale=1.0, dim_values=np.array([1.0]), half_ranges=np.array([1])
     )
-    assert dec.unravel(dec.decode(0.5))[0].tolist() == [0]
-    assert dec.unravel(dec.decode(-0.5))[0].tolist() == [-1]
+    assert dec.decode(0.5)[0].tolist() == [0]
+    assert dec.decode(-0.5)[0].tolist() == [-1]
 
 
 def test_nearest_point_duplicate_values_pick_smallest_vector():
@@ -197,7 +234,50 @@ def test_nearest_point_duplicate_values_pick_smallest_vector():
     dec = NearestPointDecoder(
         scale=1.0, dim_values=np.array([1.0, 2.0]), half_ranges=np.array([2, 1])
     )
-    assert dec.unravel(dec.decode(1e-9))[0].tolist() == [-2, 1]
+    assert dec.decode(1e-9)[0].tolist() == [-2, 1]
+    assert dec.min_distance() == 0.0  # a nonzero vector sits on the origin
+
+
+def _points(scale, dims, halves):
+    """(value, vector) of every integer vector, values summed in the
+    decoder's order."""
+    points = []
+    for vec in itertools.product(*(range(-h, h + 1) for h in halves)):
+        value = 0.0
+        for dim, q in zip(dims, vec):
+            value = value + (scale * dim) * q
+        points.append((value, vec))
+    return points
+
+
+# multiples of 1/8 and power-of-two scales keep every point value, midpoint
+# and distance exact in binary floating point, so the oracle's ties are the
+# true ties, and duplicate values and zero dimensions are common
+_EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scale=st.sampled_from([0.5, 1.0, 2.0]),
+    dims=st.lists(_EIGHTHS, min_size=1, max_size=3),
+    halves=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    extra=st.lists(st.integers(-8000, 8000).map(lambda k: k / 64), max_size=20),
+)
+def test_decode_matches_bruteforce_oracle(scale, dims, halves, extra):
+    """The observations include every point, every midpoint between
+    neighbours (exact ties) and points beyond both extremes."""
+    halves = halves[: len(dims)]
+    dec = NearestPointDecoder(
+        scale=scale, dim_values=np.array(dims), half_ranges=np.array(halves)
+    )
+    points = _points(scale, dims, halves)
+    values = sorted(value for value, _ in points)
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    beyond = [values[0] - 1.0, values[0] - 1e6, values[-1] + 1.0, values[-1] + 1e6]
+    obs = values + mids + beyond + extra
+    # brute force: nearest point, ties to the lexicographically smallest vector
+    expected = [min(points, key=lambda item: (abs(o - item[0]), item[1]))[1] for o in obs]
+    assert np.array_equal(dec.decode(np.array(obs)), np.array(expected))
 
 
 def test_nearest_point_single_dimension_spacing():
@@ -210,6 +290,32 @@ def test_nearest_point_single_dimension_spacing():
 
 # ---------------------------------------------------------------------------
 # successive decoding
+
+
+def test_synthesize_batch_matches_matrix_form():
+    channel, plan, gamma, configs = make_setup(1e8, n=2)
+    rng = np.random.default_rng(13)
+    trials = 500
+    symbols = draw_symbols_batch(plan, rng, trials)
+    noise = rng.standard_normal((trials, 3))
+    # tolerances are relative to the summed magnitudes of the terms: the
+    # beam sums cancel, so an entry may be far smaller than what rounds into it
+    x = np.zeros((trials, 3))
+    x_mag = np.zeros((trials, 3))
+    for k, config in configs.items():
+        for lay in config.layers:
+            if lay.active:
+                q = symbols[(k, lay.index)]
+                step = lay.power_factor * lay.constellation.xi
+                x[:, k - 1] += step * (q @ lay.beam)
+                x_mag[:, k - 1] += step * (np.abs(q) @ np.abs(lay.beam))
+    gains = np.array([plan.p ** (float(a) / 2) for a in plan.alpha.alphas])
+    expected = (x @ channel.h.T) * gains + noise
+    y_mag = (x_mag @ np.abs(channel.h.T)) * gains + np.abs(noise)
+    x_got = transmit_batch(configs, symbols, trials)
+    assert np.all(np.abs(x_got - x) <= 1e-12 * x_mag)
+    y_got = synthesize_batch(channel, plan, configs, symbols, noise)
+    assert np.all(np.abs(y_got - expected) <= 1e-12 * y_mag)
 
 
 def test_successive_decode_zero_noise_above_threshold():
