@@ -7,6 +7,7 @@ draw is fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class ChannelRealization:
 def sample_channel(
     k_users: int, h_min: float = 0.5, h_max: float = 2.0, seed: int = 0
 ) -> ChannelRealization:
-    if not 0 < h_min < h_max:
-        raise ValueError(f"need 0 < h_min < h_max, got ({h_min}, {h_max})")
+    if not (0 < h_min < h_max and math.isfinite(h_max)):
+        raise ValueError(f"need finite 0 < h_min < h_max, got ({h_min}, {h_max})")
     rng = np.random.default_rng(seed)
     mags = rng.uniform(h_min, h_max, size=(k_users, k_users))
     signs = 2.0 * rng.integers(0, 2, size=(k_users, k_users)) - 1.0

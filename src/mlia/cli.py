@@ -23,17 +23,19 @@ from .gdof_core import (
     achievable_gdof_limit,
     certify_family,
     converse_family,
+    family_size_exponent,
     make_pair_bound,
     optimal_sum_gdof,
     parse_rational,
 )
-from .link_sim import SimConfig, dmin_bruteforce, run_monte_carlo, t_bound
-from .scheme import (
-    EnumerationCapError,
-    build_layer_plan,
-    monomial_set,
-    power_normalizer,
+from .link_sim import (
+    DEFAULT_ENUM_CAP,
+    SimConfig,
+    dmin_bruteforce,
+    run_monte_carlo,
+    t_bound,
 )
+from .scheme import EnumerationCapError, build_geometry, build_layer_plan, power_normalizer
 
 SCHEMA_VERSION = "mlia-cli-1"
 
@@ -41,6 +43,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CERTIFICATION = 2
 EXIT_CAP = 3
+
+# dense weight entries (2^jl bounds of 2K weights each) ``bounds`` will
+# build; K=2048 holds exactly this many and takes tens of seconds
+MAX_BOUND_WEIGHTS = 1 << 22
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,18 +66,6 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-def _opt(args, file_cfg: dict, key: str, default=None, cast=None):
-    """CLI flag wins over config file, which wins over the default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_cfg.get(key)
-        if value is not None and cast is not None:
-            value = cast(value)
-    if value is None:
-        value = default
-    return value
 
 
 def _require(value, name: str):
@@ -94,6 +88,19 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_bool(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+class _Flag(argparse.Action):
+    """A flag without a value; a config file may still set it to a word
+    that ``_parse_bool`` reads, since argparse converts string defaults
+    with the action's type."""
+
+    def __init__(self, option_strings, dest, default=False, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=default,
+                         type=_parse_bool, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
 
 
 def _emit(text: str, output: str | None):
@@ -122,9 +129,8 @@ def _csv_text(rows: list[list]) -> str:
 # subcommands
 
 
-def cmd_gdof(args, file_cfg) -> int:
-    alpha = _parse_alphas(_require(_opt(args, file_cfg, "alphas"), "alphas"))
-    n_values = _opt(args, file_cfg, "n", default=(), cast=_parse_ints)
+def cmd_gdof(args) -> int:
+    alpha = _parse_alphas(_require(args.alphas, "alphas"))
     optimal = optimal_sum_gdof(alpha)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -135,36 +141,39 @@ def cmd_gdof(args, file_cfg) -> int:
         "achievable": [
             {"n": n, "value": str(achievable_gdof(alpha, n)),
              "decimal": float(achievable_gdof(alpha, n))}
-            for n in n_values
+            for n in args.n
         ],
     }
-    fmt = _opt(args, file_cfg, "format", default="json")
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [["quantity", "n", "value", "decimal"],
                 ["optimal", "", str(optimal), float(optimal)]]
         for entry in payload["achievable"]:
             rows.append(["achievable", entry["n"], entry["value"], entry["decimal"]])
-        _emit(_csv_text(rows), _opt(args, file_cfg, "output"))
+        _emit(_csv_text(rows), args.output)
     else:
-        _emit(_json_text(payload), _opt(args, file_cfg, "output"))
+        _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def cmd_bounds(args, file_cfg) -> int:
-    alphas_text = _opt(args, file_cfg, "alphas")
-    k_users = _opt(args, file_cfg, "k", cast=int)
-    if alphas_text is not None:
-        alpha = _parse_alphas(alphas_text)
-        symbolic = False
-    elif k_users is not None:
-        if k_users < 2:
-            raise ValueError("need K >= 2 users")
-        # weight structure does not depend on the profile, so any strictly
-        # sorted valid profile stands in when only K is given
-        alpha = AlphaProfile.parse([Fraction(i, k_users) for i in range(1, k_users + 1)])
-        symbolic = True
-    else:
+def cmd_bounds(args) -> int:
+    symbolic = args.alphas is None
+    if symbolic and args.k is None:
         raise ValueError("provide --alphas or --k")
+    k_users = args.k if symbolic else len(args.alphas.split(","))
+    if symbolic and k_users < 2:
+        raise ValueError("need K >= 2 users")
+    # the size check comes before the profile or the family is built
+    entries = (1 << family_size_exponent(k_users)) * 2 * k_users if k_users > 2 else 0
+    if entries > MAX_BOUND_WEIGHTS:
+        raise EnumerationCapError(
+            f"bound family for K={k_users}", entries, MAX_BOUND_WEIGHTS
+        )
+    # weight structure does not depend on the profile, so any strictly
+    # sorted valid profile stands in when only K is given
+    alpha = (
+        AlphaProfile.parse([Fraction(i, k_users) for i in range(1, k_users + 1)])
+        if symbolic else _parse_alphas(args.alphas)
+    )
 
     if alpha.k_users == 2:
         bounds = [make_pair_bound(alpha, 1, 2)]
@@ -193,8 +202,7 @@ def cmd_bounds(args, file_cfg) -> int:
         payload["certified_average"] = str(average)
         payload["optimal"] = str(optimal_sum_gdof(alpha))
 
-    fmt = _opt(args, file_cfg, "format", default="json")
-    if fmt == "csv":
+    if args.format == "csv":
         k = alpha.k_users
         header = (["bound"] + [f"d{i}" for i in range(1, k + 1)]
                   + [f"a{i}" for i in range(1, k + 1)] + ["rhs_value"])
@@ -202,28 +210,19 @@ def cmd_bounds(args, file_cfg) -> int:
         for idx, b in enumerate(bounds, start=1):
             rows.append([idx, *b.lhs_weights, *b.rhs_weights,
                          "" if symbolic else str(b.rhs_value)])
-        _emit(_csv_text(rows), _opt(args, file_cfg, "output"))
+        _emit(_csv_text(rows), args.output)
     else:
-        _emit(_json_text(payload), _opt(args, file_cfg, "output"))
+        _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def _channel_from(args, file_cfg):
-    alpha = _parse_alphas(_require(_opt(args, file_cfg, "alphas"), "alphas"))
-    seed = _opt(args, file_cfg, "seed", default=0, cast=int)
-    h_min = _opt(args, file_cfg, "h_min", default=0.5, cast=float)
-    h_max = _opt(args, file_cfg, "h_max", default=2.0, cast=float)
-    return alpha, sample_channel(alpha.k_users, h_min, h_max, seed)
-
-
-def cmd_scheme(args, file_cfg) -> int:
-    alpha, channel = _channel_from(args, file_cfg)
-    n = _opt(args, file_cfg, "n", default=1, cast=int)
-    eps_text = _opt(args, file_cfg, "eps")
-    eps = parse_rational(eps_text) if eps_text else None
-    p = _opt(args, file_cfg, "p", default=1.0, cast=float)
-    plan = build_layer_plan(alpha, n, eps=eps, p=p)
-    eta, gamma = power_normalizer(channel, plan)
+def cmd_scheme(args) -> int:
+    alpha = _parse_alphas(_require(args.alphas, "alphas"))
+    channel = sample_channel(alpha.k_users, args.h_min, args.h_max, args.seed)
+    eps = parse_rational(args.eps) if args.eps else None
+    plan = build_layer_plan(alpha, args.n, eps=eps, p=args.p)
+    geometry = build_geometry(channel, args.n)
+    eta, gamma = power_normalizer(geometry, plan)
     sets = []
     for ell in range(1, alpha.k_users - 1):
         lay = plan.layer(ell)
@@ -244,60 +243,54 @@ def cmd_scheme(args, file_cfg) -> int:
         "gamma": gamma,
         "channel_seed": channel.seed,
     }
-    dump = _opt(args, file_cfg, "dump_exponents")
-    if dump:
-        ell = _opt(args, file_cfg, "layer", default=1, cast=int)
-        v_set = monomial_set(channel, ell, n)
+    if args.dump_exponents:
+        v_set = geometry.v_set(args.layer)
         header = ["index"] + [f"h_{i}_{j}" for i, j in v_set.pair_order] + ["value"]
         rows = [header]
         for idx, (exps, value) in enumerate(zip(v_set.exponent_rows(), v_set.values)):
             rows.append([idx, *exps.tolist(), repr(float(value))])
-        with open(dump, "w", encoding="utf-8", newline="") as handle:
+        with open(args.dump_exponents, "w", encoding="utf-8", newline="") as handle:
             handle.write(_csv_text(rows))
-    _emit(_json_text(payload), _opt(args, file_cfg, "output"))
+    _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def _sim_config(args, file_cfg) -> SimConfig:
-    alpha = _parse_alphas(_require(_opt(args, file_cfg, "alphas"), "alphas"))
-    eps_text = _opt(args, file_cfg, "eps")
+def _sim_config(args) -> SimConfig:
+    alpha = _parse_alphas(_require(args.alphas, "alphas"))
     return SimConfig(
         alphas=alpha.alphas,
-        n=_opt(args, file_cfg, "n", default=1, cast=int),
-        p_grid=_require(
-            _opt(args, file_cfg, "p_grid", cast=_parse_floats), "p-grid"
-        ),
-        trials=_opt(args, file_cfg, "trials", default=0, cast=int),
-        seed=_opt(args, file_cfg, "seed", default=0, cast=int),
-        eps=parse_rational(eps_text) if eps_text else None,
-        h_min=_opt(args, file_cfg, "h_min", default=0.5, cast=float),
-        h_max=_opt(args, file_cfg, "h_max", default=2.0, cast=float),
-        noise_std=_opt(args, file_cfg, "noise_std", default=1.0, cast=float),
-        enum_cap=_opt(args, file_cfg, "cap", default=500_000, cast=int),
-        ser_threshold=_opt(args, file_cfg, "ser_threshold", default=1e-2, cast=float),
-        with_dmin=bool(_opt(args, file_cfg, "with_dmin", default=False, cast=_parse_bool)),
+        n=args.n,
+        p_grid=_require(args.p_grid, "p-grid"),
+        trials=args.trials,
+        seed=args.seed,
+        eps=parse_rational(args.eps) if args.eps else None,
+        h_min=args.h_min,
+        h_max=args.h_max,
+        noise_std=args.noise_std,
+        enum_cap=args.cap,
+        ser_threshold=args.ser_threshold,
+        with_dmin=args.with_dmin,
     )
 
 
-def cmd_simulate(args, file_cfg) -> int:
-    config = _sim_config(args, file_cfg)
-    report = run_monte_carlo(config)
-    fmt = _opt(args, file_cfg, "format", default="json")
-    if fmt == "csv":
-        _emit(_csv_text(report.csv_rows()), _opt(args, file_cfg, "output"))
+def cmd_simulate(args) -> int:
+    report = run_monte_carlo(_sim_config(args))
+    if args.format == "csv":
+        _emit(_csv_text(report.csv_rows()), args.output)
     else:
-        _emit(report.to_json(), _opt(args, file_cfg, "output"))
+        _emit(report.to_json(), args.output)
     return EXIT_OK
 
 
-def cmd_mindist(args, file_cfg) -> int:
-    config = _sim_config(args, file_cfg)
+def cmd_mindist(args) -> int:
+    config = _sim_config(args)
     alpha = config.profile()
     channel = sample_channel(alpha.k_users, config.h_min, config.h_max, config.seed)
+    plans = [build_layer_plan(alpha, config.n, eps=config.eps, p=p) for p in config.p_grid]
+    geometry = build_geometry(channel, config.n)
     entries = []
-    for p in config.p_grid:
-        plan = build_layer_plan(alpha, config.n, eps=config.eps, p=p)
-        _, gamma = power_normalizer(channel, plan)
+    for p, plan in zip(config.p_grid, plans):
+        _, gamma = power_normalizer(geometry, plan)
         for ell in range(1, alpha.k_users - 1):
             if not plan.layer(ell).active:
                 continue
@@ -308,9 +301,9 @@ def cmd_mindist(args, file_cfg) -> int:
                         "user": k,
                         "layer": ell,
                         "dmin": dmin_bruteforce(
-                            channel, k, ell, plan, gamma, config.enum_cap
+                            geometry, k, ell, plan, gamma, config.enum_cap
                         ),
-                        "tbound": t_bound(channel, plan, k, ell, gamma),
+                        "tbound": t_bound(geometry, plan, k, ell, gamma),
                     }
                 )
     payload = {
@@ -318,14 +311,13 @@ def cmd_mindist(args, file_cfg) -> int:
         "config": config.to_json_dict(),
         "entries": entries,
     }
-    fmt = _opt(args, file_cfg, "format", default="json")
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [["p", "user", "layer", "dmin", "tbound"]]
         for e in entries:
             rows.append([e["p"], e["user"], e["layer"], e["dmin"], e["tbound"]])
-        _emit(_csv_text(rows), _opt(args, file_cfg, "output"))
+        _emit(_csv_text(rows), args.output)
     else:
-        _emit(_json_text(payload), _opt(args, file_cfg, "output"))
+        _emit(_json_text(payload), args.output)
     return EXIT_OK
 
 
@@ -333,19 +325,28 @@ def cmd_mindist(args, file_cfg) -> int:
 # parser
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers, by name."""
     parser = _Parser(prog="mlia", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--output", help="write result to this path")
-        p.add_argument("--format", choices=("json", "csv"))
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--alphas", help="comma list of exact rationals, sorted")
+
+    def channel_options(p):
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--eps")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--h-min", dest="h_min", type=float, default=0.5)
+        p.add_argument("--h-max", dest="h_max", type=float, default=2.0)
 
     p = sub.add_parser("gdof", help="optimal and achievable sum GDoF")
     common(p)
-    p.add_argument("--n", type=_parse_ints, help="comma list of exponent ranges")
+    p.add_argument("--n", type=_parse_ints, default=(),
+                   help="comma list of exponent ranges")
 
     p = sub.add_parser("bounds", help="generate and certify the bound family")
     common(p)
@@ -353,14 +354,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scheme", help="layer plan, set sizes and power scaling")
     common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps")
-    p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--h-min", dest="h_min", type=float)
-    p.add_argument("--h-max", dest="h_max", type=float)
+    channel_options(p)
+    p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--dump-exponents", dest="dump_exponents")
-    p.add_argument("--layer", type=int)
+    p.add_argument("--layer", type=int, default=1)
 
     for name, help_text in (
         ("simulate", "Monte Carlo SER sweep"),
@@ -368,18 +365,15 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument("--n", type=int)
-        p.add_argument("--eps")
+        channel_options(p)
         p.add_argument("--p-grid", dest="p_grid", type=_parse_floats)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--h-min", dest="h_min", type=float)
-        p.add_argument("--h-max", dest="h_max", type=float)
-        p.add_argument("--noise-std", dest="noise_std", type=float)
-        p.add_argument("--cap", type=int)
-        p.add_argument("--ser-threshold", dest="ser_threshold", type=float)
-        p.add_argument("--with-dmin", dest="with_dmin", action="store_const", const=True)
-    return parser
+        p.add_argument("--trials", type=int, default=0)
+        p.add_argument("--noise-std", dest="noise_std", type=float, default=1.0)
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+        p.add_argument("--ser-threshold", dest="ser_threshold", type=float,
+                       default=1e-2)
+        p.add_argument("--with-dmin", dest="with_dmin", action=_Flag)
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -391,12 +385,26 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
+def _parse_args(argv):
+    """Flags override the config file, which overrides the defaults: the
+    file's values become the subcommand's defaults, and argparse converts
+    them with each option's type.  Keys that name no option are ignored."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        known = vars(args).keys() - {"command", "config"}
+        values = _read_config_file(args.config)
+        commands[args.command].set_defaults(
+            **{key: value for key, value in values.items() if key in known}
+        )
         args = parser.parse_args(argv)
-        file_cfg = _read_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, file_cfg)
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -15,13 +15,14 @@ budget a_ell - a_{ell-1}.  The last two layers are plain single-symbol PAM
 
 Monomials are tracked by their integer exponent matrices, encoded as
 base-(n+1) digit strings over the (i, j) pair grid, which makes set
-cardinality and disjointness checks exact integer comparisons.
+cardinality and disjointness checks exact integer comparisons.  None of
+these sets depends on P: ``build_geometry`` holds them for one (channel, n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -206,11 +207,7 @@ class DimensionSet:
     the same way after merging their branches.
     """
 
-    kind: str  # "V", "S" or "I"
-    first_user: int
-    last_user: int
     n: int
-    owner: int | None  # receiver k for S and I sets
     pair_order: tuple[tuple[int, int], ...]
     codes: np.ndarray
     values: np.ndarray
@@ -224,6 +221,11 @@ class DimensionSet:
         num = len(self.pair_order)
         places = base ** np.arange(num - 1, -1, -1, dtype=np.int64)
         return (self.codes[:, None] // places[None, :]) % base
+
+    def place(self, pair: tuple[int, int]) -> np.int64:
+        """Code increment of one more power of the coefficient h_pair."""
+        digits_after = len(self.pair_order) - 1 - self.pair_order.index(pair)
+        return np.int64((self.n + 1) ** digits_after)
 
 
 def _pair_grid(first: int, last: int) -> tuple[tuple[int, int], ...]:
@@ -267,56 +269,44 @@ def _enumerate_monomials(
     return codes, values
 
 
-def monomial_set(
-    channel: ChannelRealization,
-    ell: int,
-    n: int,
-    max_size: int = DEFAULT_MAX_SET_SIZE,
-) -> DimensionSet:
+def monomial_set(channel: ChannelRealization, ell: int, n: int) -> DimensionSet:
     """The data monomial set V of layer ell: all cross-link monomials among
     users [ell, K] with exponents in [0, n-1], lexicographic order."""
     k = channel.k_users
     if not 1 <= ell <= k - 2:
         raise ValueError(f"alignment layers are 1..{k - 2}, got {ell}")
     n_dims, _ = alignment_dims(k - ell + 1, n)
-    if n_dims > max_size:
-        raise EnumerationCapError(f"V set for layer {ell}", n_dims, max_size)
+    if n_dims > DEFAULT_MAX_SET_SIZE:
+        raise EnumerationCapError(f"V set for layer {ell}", n_dims, DEFAULT_MAX_SET_SIZE)
     codes, values = _enumerate_monomials(channel, ell, k, n, {})
     assert len(codes) == n_dims
-    return DimensionSet(
-        kind="V",
-        first_user=ell,
-        last_user=k,
-        n=n,
-        owner=None,
-        pair_order=_pair_grid(ell, k),
-        codes=codes,
-        values=values,
-    )
+    return DimensionSet(n=n, pair_order=_pair_grid(ell, k), codes=codes, values=values)
+
+
+def _check_receiver(v_set: DimensionSet, k: int) -> tuple[int, int]:
+    """(ell, K) of the layer that V belongs to, after checking receiver k."""
+    ell, kk = v_set.pair_order[0][0], v_set.pair_order[-1][0]
+    if not ell <= k <= kk:
+        raise ValueError(f"receiver {k} is not served by layer {ell}")
+    return ell, kk
 
 
 def interference_set(
-    channel: ChannelRealization,
-    k: int,
-    ell: int,
-    n: int,
-    max_size: int = DEFAULT_MAX_SET_SIZE,
+    channel: ChannelRealization, v_set: DimensionSet, k: int
 ) -> DimensionSet:
-    """The aligned interference monomials seen by receiver k at layer ell.
+    """The aligned interference monomials seen by receiver k at the layer
+    of the data set ``v_set``.
 
     Union of one branch per interferer l (the monomials carrying h_kl^n)
     with V \\ {1}; the union is disjoint by the h_kl exponent, which this
     builder verifies before returning.  Cardinality is exactly M - N.
     """
-    kk = channel.k_users
-    if not 1 <= ell <= kk - 2:
-        raise ValueError(f"alignment layers are 1..{kk - 2}, got {ell}")
-    if not ell <= k <= kk:
-        raise ValueError(f"receiver {k} is not served by layer {ell}")
+    ell, kk = _check_receiver(v_set, k)
+    n = v_set.n
     n_dims, m_dims = alignment_dims(kk - ell + 1, n)
     expected = m_dims - n_dims
-    if expected > max_size:
-        raise EnumerationCapError(f"I set for layer {ell}", expected, max_size)
+    if expected > DEFAULT_MAX_SET_SIZE:
+        raise EnumerationCapError(f"I set for layer {ell}", expected, DEFAULT_MAX_SET_SIZE)
     parts_codes = []
     parts_values = []
     for l in range(ell, kk + 1):
@@ -325,9 +315,8 @@ def interference_set(
         codes, values = _enumerate_monomials(channel, ell, kk, n, {(k, l): n})
         parts_codes.append(codes)
         parts_values.append(values)
-    base = monomial_set(channel, ell, n, max_size=max_size)
-    parts_codes.append(base.codes[1:])  # drop the all-ones monomial (code 0)
-    parts_values.append(base.values[1:])
+    parts_codes.append(v_set.codes[1:])  # drop the all-ones monomial (code 0)
+    parts_values.append(v_set.values[1:])
     codes = np.concatenate(parts_codes)
     values = np.concatenate(parts_values)
     order = np.argsort(codes, kind="stable")
@@ -338,45 +327,97 @@ def interference_set(
             f"interference set for (k={k}, layer={ell}) has "
             f"{len(codes)} entries with collisions; expected {expected} distinct"
         )
+    return DimensionSet(n=n, pair_order=v_set.pair_order, codes=codes, values=values)
+
+
+def desired_set(channel: ChannelRealization, v_set: DimensionSet, k: int) -> DimensionSet:
+    """The desired-signal monomials h_kk * V at receiver k."""
+    _check_receiver(v_set, k)
     return DimensionSet(
-        kind="I",
-        first_user=ell,
-        last_user=kk,
-        n=n,
-        owner=k,
-        pair_order=base.pair_order,
-        codes=codes,
-        values=values,
+        n=v_set.n,
+        pair_order=v_set.pair_order,
+        codes=v_set.codes + v_set.place((k, k)),
+        values=v_set.values * channel.coeff(k, k),
     )
 
 
-def desired_set(
-    channel: ChannelRealization,
-    k: int,
-    ell: int,
-    n: int,
-    max_size: int = DEFAULT_MAX_SET_SIZE,
-) -> DimensionSet:
-    """The desired-signal monomials h_kk * V at receiver k, layer ell."""
-    kk = channel.k_users
-    if not ell <= k <= kk:
-        raise ValueError(f"receiver {k} is not served by layer {ell}")
-    base = monomial_set(channel, ell, n, max_size=max_size)
-    num = len(base.pair_order)
-    diag_pos = base.pair_order.index((k, k))
-    place = (n + 1) ** (num - 1 - diag_pos)
-    codes = base.codes + np.int64(place)
-    values = base.values * channel.coeff(k, k)
-    return DimensionSet(
-        kind="S",
-        first_user=ell,
-        last_user=kk,
-        n=n,
-        owner=k,
-        pair_order=base.pair_order,
-        codes=codes,
-        values=values,
-    )
+# ---------------------------------------------------------------------------
+# the P-independent scheme geometry
+
+
+@dataclass(frozen=True, eq=False)
+class CellSets:
+    """The dimension sets of one alignment cell (receiver k, layer ell)."""
+
+    s_set: DimensionSet
+    i_set: DimensionSet
+    scatter: dict[int, np.ndarray]  # transmitter j -> positions of h_kj * V in I
+
+
+@dataclass(eq=False)
+class SchemeGeometry:
+    """The beam geometry of the scheme for one (channel, n); it does not
+    depend on P.
+
+    V is built for every alignment layer up front, since every transmitter
+    needs its beams.  A cell's S, I and scatter map are built on first use
+    and kept: most callers need only the beams, and the sets of all cells
+    can be several times the size of V.
+    """
+
+    channel: ChannelRealization
+    n: int
+    v_sets: dict[int, DimensionSet]
+    _cells: dict[tuple[int, int], CellSets] = field(default_factory=dict, init=False)
+
+    def v_set(self, ell: int) -> DimensionSet:
+        if ell not in self.v_sets:
+            raise ValueError(
+                f"alignment layers are 1..{self.channel.k_users - 2}, got {ell}"
+            )
+        return self.v_sets[ell]
+
+    def beam(self, ell: int) -> np.ndarray:
+        """Beam vector shared by every transmitter of layer ell."""
+        v_set = self.v_sets.get(ell)
+        return np.ones(1) if v_set is None else v_set.values
+
+    def cell(self, k: int, ell: int) -> CellSets:
+        """S, I and the scatter map of the alignment cell (k, ell)."""
+        sets = self._cells.get((k, ell))
+        if sets is None:
+            v_set = self.v_set(ell)
+            i_set = interference_set(self.channel, v_set, k)
+            scatter = {}
+            for j in range(ell, self.channel.k_users + 1):
+                if j == k:
+                    continue
+                codes = v_set.codes + v_set.place((k, j))
+                pos = np.searchsorted(i_set.codes, codes)
+                assert np.array_equal(i_set.codes[pos], codes)
+                scatter[j] = pos
+            sets = CellSets(desired_set(self.channel, v_set, k), i_set, scatter)
+            self._cells[(k, ell)] = sets
+        return sets
+
+
+def build_geometry(channel: ChannelRealization, n: int) -> SchemeGeometry:
+    """The geometry of (channel, n), with V built for every alignment layer.
+
+    This is the one place that checks the beams stay finite: extreme h
+    ranges at large n overflow the monomial products.
+    """
+    v_sets = {}
+    with np.errstate(over="ignore"):
+        for ell in range(1, channel.k_users - 1):
+            v_sets[ell] = monomial_set(channel, ell, n)
+            # a finite beam energy implies finite beam values
+            if not np.isfinite(np.sum(v_sets[ell].values ** 2)):
+                raise ValueError(
+                    f"channel coefficients h in [{channel.h_min}, {channel.h_max}] "
+                    f"overflow the layer-{ell} beam energy at n={n}"
+                )
+    return SchemeGeometry(channel=channel, n=n, v_sets=v_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +431,6 @@ class Constellation:
     xi: float
     q: int
 
-    def points(self) -> np.ndarray:
-        return self.xi * np.arange(-self.q, self.q + 1)
-
     def average_power(self) -> float:
         return self.xi**2 * self.q * (self.q + 1) / 3.0
 
@@ -400,16 +438,7 @@ class Constellation:
         return rng.integers(-self.q, self.q + 1, size=size)
 
 
-def beam_values(channel: ChannelRealization, plan: LayerPlan, ell: int) -> np.ndarray:
-    """Beam vector shared by every transmitter of layer ell."""
-    if ell <= plan.k_users - 2:
-        return monomial_set(channel, ell, plan.n).values
-    return np.ones(1)
-
-
-def power_normalizer(
-    channel: ChannelRealization, plan: LayerPlan
-) -> tuple[float, float]:
+def power_normalizer(geometry: SchemeGeometry, plan: LayerPlan) -> tuple[float, float]:
     """(eta, gamma): worst-case beam energy and the matched symbol scale.
 
     eta is the largest, over users k, of the summed squared beam entries of
@@ -417,14 +446,10 @@ def power_normalizer(
     analytic transmit power of every user at most 1.
     """
     k = plan.k_users
-    weights = []
-    for ell in range(1, k + 1):
-        lay = plan.layer(ell)
-        if not lay.active:
-            weights.append(0.0)
-            continue
-        v = beam_values(channel, plan, ell)
-        weights.append(float(np.sum(v**2)))
+    weights = [
+        float(np.sum(geometry.beam(ell) ** 2)) if plan.layer(ell).active else 0.0
+        for ell in range(1, k + 1)
+    ]
     eta = max(sum(weights[:kk]) for kk in range(1, k + 1))
     return eta, 1.0 / math.sqrt(eta)
 
@@ -432,8 +457,7 @@ def power_normalizer(
 @dataclass(frozen=True, eq=False)
 class TransmitLayer:
     index: int
-    power_offset: Fraction
-    power_factor: float  # P^{-power_offset / 2}
+    power_factor: float  # P^{-a_{index-1} / 2}
     beam: np.ndarray
     constellation: Constellation
     active: bool
@@ -441,48 +465,33 @@ class TransmitLayer:
 
 @dataclass(frozen=True, eq=False)
 class TransmitConfig:
-    """Everything transmitter k needs: one beamed PAM block per layer <= k."""
+    """Everything one transmitter needs: one beamed PAM block per layer it
+    transmits in."""
 
-    user: int
     gamma: float
     layers: tuple[TransmitLayer, ...]
 
 
 def build_transmit_config(
-    channel: ChannelRealization,
-    plan: LayerPlan,
-    k: int,
-    gamma: float | None = None,
+    geometry: SchemeGeometry, plan: LayerPlan, k: int, gamma: float | None = None
 ) -> TransmitConfig:
     if not 1 <= k <= plan.k_users:
         raise ValueError(f"user {k} out of range")
     if gamma is None:
-        _, gamma = power_normalizer(channel, plan)
+        _, gamma = power_normalizer(geometry, plan)
     layers = []
     for ell in range(1, k + 1):
         lay = plan.layer(ell)
         layers.append(
             TransmitLayer(
                 index=ell,
-                power_offset=lay.power_offset,
                 power_factor=plan.p ** (-float(lay.power_offset) / 2),
-                beam=beam_values(channel, plan, ell),
+                beam=geometry.beam(ell),
                 constellation=Constellation(xi=gamma / lay.q_level, q=lay.q_level),
                 active=lay.active,
             )
         )
-    return TransmitConfig(user=k, gamma=gamma, layers=tuple(layers))
-
-
-def transmit_signal(config: TransmitConfig, symbols: dict[int, np.ndarray]) -> float:
-    """x_k for one symbol assignment: integer PAM indices per layer index."""
-    x = 0.0
-    for lay in config.layers:
-        if not lay.active:
-            continue
-        q = np.asarray(symbols[lay.index])
-        x += lay.power_factor * float(lay.beam @ (lay.constellation.xi * q))
-    return x
+    return TransmitConfig(gamma=gamma, layers=tuple(layers))
 
 
 def analytic_power(config: TransmitConfig) -> float:

@@ -59,6 +59,7 @@ from mlia.link_sim import (
 )
 from mlia.scheme import (
     analytic_power,
+    build_geometry,
     build_layer_plan,
     build_transmit_config,
     desired_set,
@@ -181,10 +182,11 @@ def test_criterion_4_cardinalities():
             for n in (1, 2):
                 for ell in range(1, k - 1):
                     n_dims, m_dims = alignment_dims(k - ell + 1, n)
-                    assert len(monomial_set(channel, ell, n)) == n_dims
+                    v_set = monomial_set(channel, ell, n)
+                    assert len(v_set) == n_dims
                     for recv in range(ell, k + 1):
-                        s_set = desired_set(channel, recv, ell, n)
-                        i_set = interference_set(channel, recv, ell, n)
+                        s_set = desired_set(channel, v_set, recv)
+                        i_set = interference_set(channel, v_set, recv)
                         assert len(s_set) == n_dims
                         assert len(i_set) == m_dims - n_dims
                         # both code lists are strictly increasing, so a
@@ -202,11 +204,11 @@ def test_criterion_5_transmit_power():
         plan_alpha = ALPHA3
         rng = np.random.default_rng(55)
         for seed in range(100):
-            channel = sample_channel(3, seed=seed)
+            geometry = build_geometry(sample_channel(3, seed=seed), 2)
             plan = build_layer_plan(plan_alpha, 2, p=p)
-            _, gamma = power_normalizer(channel, plan)
+            _, gamma = power_normalizer(geometry, plan)
             configs = [
-                build_transmit_config(channel, plan, k, gamma=gamma) for k in (1, 2, 3)
+                build_transmit_config(geometry, plan, k, gamma=gamma) for k in (1, 2, 3)
             ]
             for config in configs:
                 assert analytic_power(config) <= 1.0
@@ -230,12 +232,12 @@ def test_criterion_6_dmin_scaling():
             target = float(ALPHA3.alpha(k) - ALPHA3.alpha(1)) / 2
             pooled = np.zeros(len(exps))
             for seed in seeds:
-                channel = sample_channel(3, seed=seed)
+                geometry = build_geometry(sample_channel(3, seed=seed), 1)
                 for i, e in enumerate(exps):
                     plan = build_layer_plan(ALPHA3, 1, eps=F(1, 1000), p=10.0**e)
-                    _, gamma = power_normalizer(channel, plan)
+                    _, gamma = power_normalizer(geometry, plan)
                     pooled[i] += math.log10(
-                        dmin_bruteforce(channel, k, 1, plan, gamma)
+                        dmin_bruteforce(geometry, k, 1, plan, gamma)
                     )
             pooled /= len(list(seeds))
             slope = np.polyfit(exps, pooled, 1)[0]
@@ -248,17 +250,17 @@ def test_criterion_7_residual_bound():
     with criterion("residual-bound"):
         draws = 10**5
         for alphas, k_users in ((ALPHA3, 3), (AlphaProfile.parse(["0.3", "0.5", "0.8", "1.0"]), 4)):
-            channel = sample_channel(k_users, seed=17)
+            geometry = build_geometry(sample_channel(k_users, seed=17), 1)
             plan = build_layer_plan(alphas, 1, p=1e8)
-            _, gamma = power_normalizer(channel, plan)
+            _, gamma = power_normalizer(geometry, plan)
             rng = np.random.default_rng(17)
             symbols = draw_symbols_batch(plan, rng, draws)
             for ell in range(1, k_users - 1):
                 for k in range(ell, k_users + 1):
                     realized = realized_residual_batch(
-                        channel, plan, gamma, symbols, k, ell
+                        geometry, plan, gamma, symbols, k, ell
                     )
-                    bound = t_bound(channel, plan, k, ell, gamma)
+                    bound = t_bound(geometry, plan, k, ell, gamma)
                     assert np.all(np.abs(realized) <= bound)  # zero violations
 
 
@@ -267,13 +269,14 @@ def test_criterion_8_decoding():
         # zero noise: exact peeling above a searched threshold, 1e3 frames
         trials = 1000
         channel = sample_channel(3, seed=2)
+        geometry = build_geometry(channel, 1)
         threshold = None
         for p in P_DECADES:
             plan = build_layer_plan(ALPHA3, 1, eps=EPS_FLAT, p=p)
-            _, gamma = power_normalizer(channel, plan)
-            bank = build_decoder_bank(channel, plan, gamma=gamma)
+            _, gamma = power_normalizer(geometry, plan)
+            bank = build_decoder_bank(geometry, plan, gamma=gamma)
             configs = {
-                k: build_transmit_config(channel, plan, k, gamma=gamma)
+                k: build_transmit_config(geometry, plan, k, gamma=gamma)
                 for k in (1, 2, 3)
             }
             rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: outputs, exit codes, determinism."""
 
 import json
+import warnings
 
 import mlia.cli as cli
 from mlia.gdof_core import BoundFamily, WeightedBound
@@ -198,3 +199,63 @@ def test_json_output_refuses_nan(capsys):
     )
     assert code == 1 and not out
     assert "JSON" in err
+
+
+def test_config_with_dmin_false_and_bad_value(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("alphas = 0.5,0.8,1.0\np_grid = 1e6\ntrials = 10\nwith_dmin = false\n")
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["config"]["with_dmin"] is False
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--with-dmin")
+    assert code == 0
+    assert json.loads(out)["config"]["with_dmin"] is True
+    config.write_text("alphas = 0.5,0.8,1.0\np_grid = 1e6\ntrials = ten\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 1 and not out
+    assert "--trials" in err and "Traceback" not in err
+
+
+def test_missing_required_option(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--p-grid", "1e6")
+    assert code == 1 and "missing required option --alphas" in err
+    code, _, err = run_cli(capsys, "mindist", "--alphas", "1/2,4/5,1")
+    assert code == 1 and "missing required option --p-grid" in err
+
+
+def test_scheme_dump_rejects_non_alignment_layer(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "scheme", "--alphas", "0.5,0.8,1.0",
+        "--dump-exponents", str(tmp_path / "dims.csv"), "--layer", "2",
+    )
+    assert code == 1 and not out
+    assert "alignment layers" in err and "Traceback" not in err
+
+
+def test_simulate_rejects_infinite_channel_range(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--alphas", "1/2,4/5,1", "--p-grid", "1e6",
+        "--trials", "10", "--h-max", "inf",
+    )
+    assert code == 1 and not out
+    assert "h_max" in err and "Traceback" not in err
+
+
+def test_scheme_rejects_overflowing_beams(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the run
+        code, out, err = run_cli(
+            capsys, "scheme", "--alphas", "1/2,4/5,1", "--n", "3",
+            "--h-min", "1e100", "--h-max", "1e200",
+        )
+    assert code == 1 and not out
+    assert "channel coefficients h" in err and "Traceback" not in err
+
+
+def test_bounds_family_size_cap(capsys):
+    # K=2048 holds exactly 2^22 weights; one more user doubles the family
+    alphas = ",".join(f"{i}/2049" for i in range(1, 2050))
+    for argv in (("--k", "2049"), ("--k", "100000"), ("--alphas", alphas)):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 3 and not out
+        assert "exceeds cap 4194304" in err

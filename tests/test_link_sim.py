@@ -15,25 +15,20 @@ from mlia.link_sim import (
     NearestPointDecoder,
     SimConfig,
     build_decoder_bank,
-    decode_layer,
     dmin_bruteforce,
     draw_symbols_batch,
-    layer_observation,
     realized_residual_batch,
     run_monte_carlo,
-    successive_decode,
     successive_decode_batch,
     synthesize_batch,
-    synthesize_frame,
     t_bound,
     transmit_batch,
 )
 from mlia.scheme import (
     EnumerationCapError,
+    build_geometry,
     build_layer_plan,
     build_transmit_config,
-    desired_set,
-    interference_set,
     power_normalizer,
 )
 
@@ -42,14 +37,14 @@ EPS_FLAT = F(1499, 10000)  # keeps every PAM level at Q=1 across wide P ranges
 
 
 def make_setup(p, eps=None, seed=11, n=1, alpha=ALPHA3):
-    channel = sample_channel(alpha.k_users, seed=seed)
+    geometry = build_geometry(sample_channel(alpha.k_users, seed=seed), n)
     plan = build_layer_plan(alpha, n, eps=eps, p=p)
-    _, gamma = power_normalizer(channel, plan)
+    _, gamma = power_normalizer(geometry, plan)
     configs = {
-        k: build_transmit_config(channel, plan, k, gamma=gamma)
+        k: build_transmit_config(geometry, plan, k, gamma=gamma)
         for k in range(1, alpha.k_users + 1)
     }
-    return channel, plan, gamma, configs
+    return geometry, plan, gamma, configs
 
 
 # ---------------------------------------------------------------------------
@@ -78,86 +73,64 @@ def test_sample_channel_rejects_bad_bounds():
 
 
 # ---------------------------------------------------------------------------
-# layer observations and signal decomposition
+# signal decomposition and single-cell decoding
 
 
-def test_layer_observation_identity_at_first_layer():
-    channel, plan, gamma, configs = make_setup(1e6)
-    rng = np.random.default_rng(0)
-    symbols = {cell: q[0] for cell, q in draw_symbols_batch(plan, rng, 1).items()}
-    frame = synthesize_frame(channel, plan, configs, symbols, rng.standard_normal(3))
-    for k in (1, 2, 3):
-        assert layer_observation(frame, channel, plan, gamma, k, 1) == frame.y[k - 1]
-
-
-def test_layer_observation_peels_to_decomposition():
-    """With perfect history the residue is exactly S + I + T (+ noise)."""
-    channel, plan, gamma, configs = make_setup(1e6)
+def test_peeling_first_layer_leaves_decomposition():
+    """With the true layer-1 cell subtracted the residue is exactly
+    S + I + T (+ noise)."""
+    geometry, plan, gamma, configs = make_setup(1e6)
+    channel = geometry.channel
     rng = np.random.default_rng(1)
-    batch = draw_symbols_batch(plan, rng, 1)
-    symbols = {cell: q[0] for cell, q in batch.items()}
-    noise = rng.standard_normal(3)
-    frame = synthesize_frame(channel, plan, configs, symbols, noise)
-    bank = build_decoder_bank(channel, plan, gamma=gamma)
+    symbols = draw_symbols_batch(plan, rng, 1)
+    noise = rng.standard_normal((1, 3))
+    y = synthesize_batch(channel, plan, configs, symbols, noise)
+    bank = build_decoder_bank(geometry, plan, gamma=gamma)
     k, ell = 3, 2  # second layer at the last receiver, history = layer 1
-    history = {(j, 1): symbols[(j, 1)] for j in (1, 2, 3)}
-    obs = layer_observation(frame, channel, plan, gamma, k, ell, history)
+    layer1 = np.hstack([symbols[(k, 1)], bank.aggregate_truth(symbols, k, 1)])
+    obs = y[0, k - 1] - bank.decoders[(k, 1)].point_value(layer1)[0]
 
     lay = plan.layer(ell)
     scale = gamma / lay.q_level * plan.p ** (
         float(plan.alpha.alpha(k) - lay.power_offset) / 2
     )
     # desired + aggregated interference at the pair layer (K-1 = 2)
-    s_val = scale * channel.coeff(k, k) * symbols[(k, ell)][0]
-    i_val = scale * channel.coeff(k, 2) * symbols[(2, ell)][0]
-    t_val = realized_residual_batch(channel, plan, gamma, batch, k, ell)[0]
-    assert obs == pytest.approx(s_val + i_val + t_val + noise[k - 1], rel=1e-9)
+    s_val = scale * channel.coeff(k, k) * symbols[(k, ell)][0, 0]
+    i_val = scale * channel.coeff(k, 2) * symbols[(2, ell)][0, 0]
+    t_val = realized_residual_batch(geometry, plan, gamma, symbols, k, ell)[0]
+    assert obs == pytest.approx(s_val + i_val + t_val + noise[0, k - 1], rel=1e-9)
 
 
-def test_layer_observation_requires_history():
-    channel, plan, gamma, configs = make_setup(1e6)
-    rng = np.random.default_rng(2)
-    symbols = {cell: q[0] for cell, q in draw_symbols_batch(plan, rng, 1).items()}
-    frame = synthesize_frame(channel, plan, configs, symbols, np.zeros(3))
-    with pytest.raises(ValueError, match="missing decoded history"):
-        layer_observation(frame, channel, plan, gamma, 2, 2, {})
-
-
-# ---------------------------------------------------------------------------
-# single-layer decoding
-
-
-def test_decode_layer_exact_without_noise():
-    channel, plan, gamma, _ = make_setup(1e8, eps=F(1, 1000))
+def test_cell_decoder_exact_without_noise():
+    geometry, plan, gamma, _ = make_setup(1e8, eps=F(1, 1000))
     k, ell = 2, 1
-    s_set = desired_set(channel, k, ell, 1)
-    i_set = interference_set(channel, k, ell, 1)
+    sets = geometry.cell(k, ell)
     lay = plan.layer(ell)
     assert lay.q_level >= 2
     scale = gamma / lay.q_level * plan.p ** (
         float(plan.alpha.alpha(k) - lay.power_offset) / 2
     )
+    dec = build_decoder_bank(geometry, plan, gamma=gamma).decoders[(k, ell)]
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = rng.integers(-lay.q_level, lay.q_level + 1, size=1)
         qp = rng.integers(-3 * lay.q_level, 3 * lay.q_level + 1, size=2)
-        obs = scale * (s_set.values @ q + i_set.values @ qp)
-        got_q, got_qp = decode_layer(obs, k, ell, s_set, i_set, plan, gamma)
-        assert np.array_equal(got_q, q) and np.array_equal(got_qp, qp)
+        obs = scale * (sets.s_set.values @ q + sets.i_set.values @ qp)
+        got = dec.decode(obs)[0]
+        assert np.array_equal(got[:1], q) and np.array_equal(got[1:], qp)
 
 
-def test_decode_layer_matches_exhaustive_oracle():
-    channel, plan, gamma, _ = make_setup(1e4, eps=F(1, 1000), seed=21)
+def test_cell_decoder_matches_exhaustive_oracle():
+    geometry, plan, gamma, _ = make_setup(1e4, eps=F(1, 1000), seed=21)
     k, ell = 1, 1
-    s_set = desired_set(channel, k, ell, 1)
-    i_set = interference_set(channel, k, ell, 1)
+    sets = geometry.cell(k, ell)
     lay = plan.layer(ell)
     q_lim, qp_lim = lay.q_level, lay.k_users * lay.q_level
     assert q_lim == 2
     scale = gamma / q_lim * plan.p ** (
         float(plan.alpha.alpha(k) - lay.power_offset) / 2
     )
-    dims = np.concatenate([s_set.values, i_set.values])
+    dims = np.concatenate([sets.s_set.values, sets.i_set.values])
     points = [
         (scale * float(np.dot(dims, vec)), vec)
         for vec in (
@@ -169,30 +142,28 @@ def test_decode_layer_matches_exhaustive_oracle():
             )
         )
     ]
+    dec = build_decoder_bank(geometry, plan, gamma=gamma).decoders[(k, ell)]
     rng = np.random.default_rng(4)
     for _ in range(200):
         obs = float(rng.uniform(-1.5, 1.5) * scale * 10)
         best = min(points, key=lambda item: (abs(obs - item[0]), tuple(item[1])))
-        got_q, got_qp = decode_layer(obs, k, ell, s_set, i_set, plan, gamma)
-        assert np.array_equal(np.concatenate([got_q, got_qp]), best[1])
+        assert np.array_equal(dec.decode(obs)[0], best[1])
 
 
-def test_decode_layer_cap_guard():
-    channel, plan, gamma, _ = make_setup(1e8, eps=F(1, 1000))
-    s_set = desired_set(channel, 1, 1, 1)
-    i_set = interference_set(channel, 1, 1, 1)
+def test_cell_cap_guard():
+    geometry, plan, gamma, _ = make_setup(1e8, eps=F(1, 1000))
     with pytest.raises(EnumerationCapError, match="exceeds cap"):
-        decode_layer(0.0, 1, 1, s_set, i_set, plan, gamma, cap=10)
+        dmin_bruteforce(geometry, 1, 1, plan, gamma, cap=10)
 
 
 def test_bank_cap_is_exact_at_the_cap():
-    channel, plan, gamma, _ = make_setup(1e8, eps=EPS_FLAT)
-    build_decoder_bank(channel, plan, gamma=gamma, cap=147)  # 3 * 7 * 7 points
+    geometry, plan, gamma, _ = make_setup(1e8, eps=EPS_FLAT)
+    build_decoder_bank(geometry, plan, gamma=gamma, cap=147)  # 3 * 7 * 7 points
     with pytest.raises(
         EnumerationCapError,
         match=r"^decode search for \(user 1, layer 1\): enumeration size 147 exceeds cap 146$",
     ):
-        build_decoder_bank(channel, plan, gamma=gamma, cap=146)
+        build_decoder_bank(geometry, plan, gamma=gamma, cap=146)
 
 
 def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
@@ -206,8 +177,9 @@ def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
         raise AssertionError("a dimension set was built before the cap check")
 
     for module, name in (
-        (scheme, "monomial_set"), (link_sim, "monomial_set"),
-        (link_sim, "desired_set"), (link_sim, "interference_set"),
+        (scheme, "monomial_set"), (scheme, "desired_set"),
+        (scheme, "interference_set"), (scheme, "build_geometry"),
+        (link_sim, "build_geometry"), (cli, "build_geometry"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     code = cli.main([
@@ -293,7 +265,8 @@ def test_nearest_point_single_dimension_spacing():
 
 
 def test_synthesize_batch_matches_matrix_form():
-    channel, plan, gamma, configs = make_setup(1e8, n=2)
+    geometry, plan, gamma, configs = make_setup(1e8, n=2)
+    channel = geometry.channel
     rng = np.random.default_rng(13)
     trials = 500
     symbols = draw_symbols_batch(plan, rng, trials)
@@ -322,11 +295,11 @@ def test_successive_decode_zero_noise_above_threshold():
     trials = 200
     threshold = None
     for exp in range(4, 13):
-        channel, plan, gamma, configs = make_setup(10.0**exp, eps=EPS_FLAT, seed=2)
-        bank = build_decoder_bank(channel, plan, gamma=gamma)
+        geometry, plan, gamma, configs = make_setup(10.0**exp, eps=EPS_FLAT, seed=2)
+        bank = build_decoder_bank(geometry, plan, gamma=gamma)
         rng = np.random.default_rng(5)
         symbols = draw_symbols_batch(plan, rng, trials)
-        y = synthesize_batch(channel, plan, configs, symbols, np.zeros((trials, 3)))
+        y = synthesize_batch(geometry.channel, plan, configs, symbols, np.zeros((trials, 3)))
         result = successive_decode_batch(y, bank, truth=symbols)
         exact = bool(np.all(result.frame_ok()))
         aggregates_exact = all(np.all(ok) for ok in result.aggregate_ok.values())
@@ -339,44 +312,40 @@ def test_successive_decode_zero_noise_above_threshold():
 
 
 def test_successive_decode_single_frame_matches_batch():
-    channel, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
-    bank = build_decoder_bank(channel, plan, gamma=gamma)
+    """A single frame is a batch of one."""
+    geometry, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
+    bank = build_decoder_bank(geometry, plan, gamma=gamma)
     rng = np.random.default_rng(6)
     trials = 30
     symbols = draw_symbols_batch(plan, rng, trials)
     noise = rng.standard_normal((trials, 3))
-    y = synthesize_batch(channel, plan, configs, symbols, noise)
+    y = synthesize_batch(geometry.channel, plan, configs, symbols, noise)
     batch = successive_decode_batch(y, bank, truth=symbols)
     for t in range(trials):
-        frame = synthesize_frame(
-            channel,
-            plan,
-            configs,
-            {cell: q[t] for cell, q in symbols.items()},
-            noise[t],
+        single = successive_decode_batch(
+            y[t : t + 1], bank, truth={cell: q[t : t + 1] for cell, q in symbols.items()}
         )
-        single = successive_decode(frame, channel, plan, bank=bank)
         for cell in batch.symbols:
             assert np.array_equal(single.symbols[cell][0], batch.symbols[cell][t])
 
 
 def test_forced_corruption_propagates_downstream():
-    channel, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
-    bank = build_decoder_bank(channel, plan, gamma=gamma)
+    geometry, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
+    bank = build_decoder_bank(geometry, plan, gamma=gamma)
     rng = np.random.default_rng(7)
     trials = 20
     symbols = draw_symbols_batch(plan, rng, trials)
-    y = synthesize_batch(channel, plan, configs, symbols, np.zeros((trials, 3)))
+    y = synthesize_batch(geometry.channel, plan, configs, symbols, np.zeros((trials, 3)))
     clean = successive_decode_batch(y, bank, truth=symbols)
     assert np.all(clean.frame_ok())
     # feed receiver 3 a wrong layer-1 reconstruction: its later layers break
     q_lim = plan.layer(1).q_level
     truth_q = symbols[(3, 1)]
     truth_agg = bank.aggregate_truth(symbols, 3, 1)
-    wrong = (
+    wrong = np.hstack([
         np.where(truth_q < q_lim, truth_q + 1, truth_q - 1),
         np.where(truth_agg < 3 * q_lim, truth_agg + 1, truth_agg - 1),
-    )
+    ])
     broken = successive_decode_batch(y, bank, truth=symbols, force={(3, 1): wrong})
     assert not np.any(broken.desired_ok[(3, 1)])
     assert not np.all(broken.desired_ok[(3, 2)] & broken.desired_ok[(3, 3)])
@@ -389,8 +358,9 @@ def test_decode_exact_whenever_margins_hold():
     """Frames whose noise + residual stay inside half the minimum distance
     at every stage must decode without error."""
     p = 1e10
-    channel, plan, gamma, configs = make_setup(p, eps=EPS_FLAT, seed=2)
-    bank = build_decoder_bank(channel, plan, gamma=gamma)
+    geometry, plan, gamma, configs = make_setup(p, eps=EPS_FLAT, seed=2)
+    channel = geometry.channel
+    bank = build_decoder_bank(geometry, plan, gamma=gamma)
     rng = np.random.default_rng(12)
     trials = 1000
     symbols = draw_symbols_batch(plan, rng, trials)
@@ -400,16 +370,16 @@ def test_decode_exact_whenever_margins_hold():
 
     margins_ok = np.ones(trials, dtype=bool)
     for k in (1, 2, 3):  # alignment layer at every receiver
-        dmin = dmin_bruteforce(channel, k, 1, plan, gamma)
-        bound = t_bound(channel, plan, k, 1, gamma)
+        dmin = dmin_bruteforce(geometry, k, 1, plan, gamma)
+        bound = t_bound(geometry, plan, k, 1, gamma)
         margins_ok &= np.abs(noise[:, k - 1]) + bound < dmin / 2
     for k in (2, 3):  # pair layer; the last layer is the residual there
-        dmin = bank.pair_decoders[k].min_distance()
+        dmin = bank.decoders[(k, 2)].min_distance()
         bound = gamma * abs(channel.coeff(k, 3)) * p ** (
             float(ALPHA3.alpha(k) - ALPHA3.alpha(2)) / 2
         )
         margins_ok &= np.abs(noise[:, k - 1]) + bound < dmin / 2
-    dmin = bank.last_decoder.min_distance()
+    dmin = bank.decoders[(3, 3)].min_distance()
     margins_ok &= np.abs(noise[:, 2]) < dmin / 2
 
     assert np.any(margins_ok) and not np.all(margins_ok)
@@ -417,8 +387,9 @@ def test_decode_exact_whenever_margins_hold():
 
 
 def test_peeling_consistency_reconstructs_received():
-    channel, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
-    bank = build_decoder_bank(channel, plan, gamma=gamma)
+    geometry, plan, gamma, configs = make_setup(1e10, eps=EPS_FLAT, seed=2)
+    channel = geometry.channel
+    bank = build_decoder_bank(geometry, plan, gamma=gamma)
     rng = np.random.default_rng(8)
     trials = 50
     symbols = draw_symbols_batch(plan, rng, trials)
@@ -442,46 +413,46 @@ def test_peeling_consistency_reconstructs_received():
 def test_dmin_positive_on_random_channels():
     plan_p = 1e6
     for seed in range(100):
-        channel = sample_channel(3, seed=seed)
+        geometry = build_geometry(sample_channel(3, seed=seed), 1)
         plan = build_layer_plan(ALPHA3, 1, eps=F(1, 1000), p=plan_p)
-        _, gamma = power_normalizer(channel, plan)
+        _, gamma = power_normalizer(geometry, plan)
         for k in (1, 2, 3):
-            assert dmin_bruteforce(channel, k, 1, plan, gamma) > 0.0
+            assert dmin_bruteforce(geometry, k, 1, plan, gamma) > 0.0
 
 
 def test_t_bound_hand_formula_k3():
-    channel, plan, gamma, _ = make_setup(1e6)
+    geometry, plan, gamma, _ = make_setup(1e6)
     for k in (1, 2, 3):
-        h = np.abs(channel.h[k - 1])
+        h = np.abs(geometry.channel.h[k - 1])
         delta = gamma * ((h[1] + h[2]) + h[2])  # layer 2 then layer 3
         expected = plan.p ** (float(ALPHA3.alpha(k) - ALPHA3.alpha(1)) / 2) * delta
-        assert t_bound(channel, plan, k, 1, gamma) == pytest.approx(expected, rel=1e-12)
+        assert t_bound(geometry, plan, k, 1, gamma) == pytest.approx(expected, rel=1e-12)
 
 
 def test_t_bound_exponent_in_p():
-    channel = sample_channel(3, seed=9)
+    geometry = build_geometry(sample_channel(3, seed=9), 1)
     values = {}
     for p in (1e6, 1e10):
         plan = build_layer_plan(ALPHA3, 1, eps=F(1, 1000), p=p)
-        _, gamma = power_normalizer(channel, plan)
-        values[p] = t_bound(channel, plan, 2, 1, gamma)
+        _, gamma = power_normalizer(geometry, plan)
+        values[p] = t_bound(geometry, plan, 2, 1, gamma)
     ratio = values[1e10] / values[1e6]
     assert ratio == pytest.approx((1e10 / 1e6) ** (float(ALPHA3.alpha(2) - ALPHA3.alpha(1)) / 2), rel=1e-9)
 
 
 def test_t_bound_dominates_realized_residual():
-    channel, plan, gamma, _ = make_setup(1e8)
+    geometry, plan, gamma, _ = make_setup(1e8)
     rng = np.random.default_rng(10)
     symbols = draw_symbols_batch(plan, rng, 10**4)
     for k in (1, 2, 3):
-        realized = realized_residual_batch(channel, plan, gamma, symbols, k, 1)
-        assert np.all(np.abs(realized) <= t_bound(channel, plan, k, 1, gamma))
+        realized = realized_residual_batch(geometry, plan, gamma, symbols, k, 1)
+        assert np.all(np.abs(realized) <= t_bound(geometry, plan, k, 1, gamma))
 
 
 def test_t_bound_layer_range():
     with pytest.raises(ValueError):
-        channel, plan, gamma, _ = make_setup(1e6)
-        t_bound(channel, plan, 3, 2, gamma)  # layer K-1 has no residual bound
+        geometry, plan, gamma, _ = make_setup(1e6)
+        t_bound(geometry, plan, 3, 2, gamma)  # layer K-1 has no residual bound
 
 
 # ---------------------------------------------------------------------------

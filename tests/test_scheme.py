@@ -9,9 +9,11 @@ import pytest
 
 from mlia.channel import sample_channel
 from mlia.gdof_core import AlphaProfile, alignment_dims
+from mlia.link_sim import transmit_batch
 from mlia.scheme import (
     Constellation,
     analytic_power,
+    build_geometry,
     build_layer_plan,
     build_transmit_config,
     default_eps,
@@ -20,7 +22,6 @@ from mlia.scheme import (
     monomial_set,
     power_normalizer,
     pre_eps_lambda,
-    transmit_signal,
 )
 
 ALPHA3 = AlphaProfile.parse(["0.5", "0.8", "1.0"])
@@ -130,11 +131,12 @@ def test_monomial_set_k4_inner_layer():
 
 def test_interference_set_k3_n1():
     channel = sample_channel(3, seed=3)
-    i_set = interference_set(channel, 1, 1, 1)
+    v_set = monomial_set(channel, 1, 1)
+    i_set = interference_set(channel, v_set, 1)
     assert sorted(i_set.values.tolist()) == sorted(
         [channel.coeff(1, 2), channel.coeff(1, 3)]
     )
-    i_set = interference_set(channel, 3, 1, 1)
+    i_set = interference_set(channel, v_set, 3)
     assert sorted(i_set.values.tolist()) == sorted(
         [channel.coeff(3, 1), channel.coeff(3, 2)]
     )
@@ -144,7 +146,7 @@ def test_interference_set_matches_oracle_k3_n2():
     # oracle: per interferer l, h_1l^2 times monomials free on the other
     # pairs, unioned with V minus the unit monomial
     channel = sample_channel(3, seed=4)
-    i_set = interference_set(channel, 1, 1, 2)
+    i_set = interference_set(channel, monomial_set(channel, 1, 2), 1)
     k = channel.k_users
     pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
     expected = {}
@@ -169,33 +171,34 @@ def test_set_cardinalities_formula_grid():
         for n in (1, 2):
             for ell in range(1, k - 1):
                 n_dims, m_dims = alignment_dims(k - ell + 1, n)
-                assert len(monomial_set(channel, ell, n)) == n_dims
+                v_set = monomial_set(channel, ell, n)
+                assert len(v_set) == n_dims
                 for recv in range(ell, k + 1):
-                    assert len(interference_set(channel, recv, ell, n)) == (
+                    assert len(interference_set(channel, v_set, recv)) == (
                         m_dims - n_dims
                     )
-                    assert len(desired_set(channel, recv, ell, n)) == n_dims
+                    assert len(desired_set(channel, v_set, recv)) == n_dims
 
 
 def test_desired_set_carries_direct_link():
     channel = sample_channel(3, seed=5)
-    s_set = desired_set(channel, 2, 1, 1)
+    s_set = desired_set(channel, monomial_set(channel, 1, 1), 2)
     assert s_set.values.tolist() == [channel.coeff(2, 2)]
-    s_set = desired_set(channel, 1, 1, 2)
+    v_set = monomial_set(channel, 1, 2)
+    s_set = desired_set(channel, v_set, 1)
     diag = s_set.pair_order.index((1, 1))
     rows = s_set.exponent_rows()
     assert np.all(rows[:, diag] == 1)
-    v_set = monomial_set(channel, 1, 2)
     assert np.allclose(s_set.values, channel.coeff(1, 1) * v_set.values)
 
 
 def test_desired_and_interference_disjoint():
     for seed in range(5):
-        channel = sample_channel(4, seed=seed)
+        geometry = build_geometry(sample_channel(4, seed=seed), 2)
         for ell in (1, 2):
             for recv in range(ell, 5):
-                s_set = desired_set(channel, recv, ell, 2)
-                i_set = interference_set(channel, recv, ell, 2)
+                sets = geometry.cell(recv, ell)
+                s_set, i_set = sets.s_set, sets.i_set
                 assert np.intersect1d(s_set.codes, i_set.codes).size == 0
                 assert np.all(np.diff(s_set.codes) > 0)
                 assert np.all(np.diff(i_set.codes) > 0)
@@ -203,17 +206,17 @@ def test_desired_and_interference_disjoint():
 
 def test_interference_never_contains_direct_link():
     for seed in range(3):
-        channel = sample_channel(4, seed=seed)
+        geometry = build_geometry(sample_channel(4, seed=seed), 2)
         for ell in (1, 2):
             for recv in range(ell, 5):
-                i_set = interference_set(channel, recv, ell, 2)
+                i_set = geometry.cell(recv, ell).i_set
                 diag = i_set.pair_order.index((recv, recv))
                 assert np.all(i_set.exponent_rows()[:, diag] == 0)
 
 
 def test_exponent_rows_reproduce_values():
     channel = sample_channel(3, seed=6)
-    i_set = interference_set(channel, 2, 1, 2)
+    i_set = interference_set(channel, monomial_set(channel, 1, 2), 2)
     rows = i_set.exponent_rows()
     rebuilt = np.ones(len(i_set))
     for col, (i, j) in enumerate(i_set.pair_order):
@@ -230,14 +233,10 @@ def test_rational_independence_proxy():
         if any(ci for ci in c)
     ]
     for trial in range(100):
-        channel = sample_channel(3, seed=int(rng.integers(1 << 31)))
+        geometry = build_geometry(sample_channel(3, seed=int(rng.integers(1 << 31))), 1)
         for recv in (1, 2, 3):
-            dims = np.concatenate(
-                [
-                    desired_set(channel, recv, 1, 1).values,
-                    interference_set(channel, recv, 1, 1).values,
-                ]
-            )
+            sets = geometry.cell(recv, 1)
+            dims = np.concatenate([sets.s_set.values, sets.i_set.values])
             smallest = min(abs(float(np.dot(c, dims))) for c in combos)
             assert smallest > 1e-9
 
@@ -263,27 +262,27 @@ def test_constellation_sumset_closure():
 
 
 def test_power_normalizer_k3_n1():
-    channel = sample_channel(3, seed=10)
+    geometry = build_geometry(sample_channel(3, seed=10), 1)
     plan = build_layer_plan(ALPHA3, 1, p=100.0)
-    eta, gamma = power_normalizer(channel, plan)
+    eta, gamma = power_normalizer(geometry, plan)
     assert eta == pytest.approx(3.0)
     assert gamma == pytest.approx(1.0 / math.sqrt(3.0))
 
 
 def test_power_normalizer_k2_floor():
-    channel = sample_channel(2, seed=11)
+    geometry = build_geometry(sample_channel(2, seed=11), 1)
     plan = build_layer_plan(AlphaProfile.parse(["0.4", "1.0"]), 1, p=100.0)
-    eta, _ = power_normalizer(channel, plan)
+    eta, _ = power_normalizer(geometry, plan)
     assert eta >= 1.0
 
 
 def test_analytic_power_below_one_and_empirical_match():
     rng = np.random.default_rng(12)
-    channel = sample_channel(3, seed=13)
+    geometry = build_geometry(sample_channel(3, seed=13), 2)
     plan = build_layer_plan(ALPHA3, 2, p=100.0)
-    _, gamma = power_normalizer(channel, plan)
+    _, gamma = power_normalizer(geometry, plan)
     for user in (1, 2, 3):
-        config = build_transmit_config(channel, plan, user, gamma=gamma)
+        config = build_transmit_config(geometry, plan, user, gamma=gamma)
         power = analytic_power(config)
         assert power <= 1.0
         draws = np.zeros(10**5)
@@ -293,27 +292,28 @@ def test_analytic_power_below_one_and_empirical_match():
         assert abs(np.mean(draws**2) - power) < 0.02 * power
 
 
-def test_transmit_signal_zero_and_superposition():
-    channel = sample_channel(3, seed=14)
+def test_transmit_batch_zero_and_superposition():
+    geometry = build_geometry(sample_channel(3, seed=14), 1)
     p = 1e6
     plan = build_layer_plan(ALPHA3, 1, p=p)
-    config = build_transmit_config(channel, plan, 3)
-    zeros = {ell: np.zeros(1, dtype=int) for ell in (1, 2, 3)}
-    assert transmit_signal(config, zeros) == 0.0
-    symbols = {1: np.array([2]), 2: np.array([-1]), 3: np.array([1])}
+    configs = {k: build_transmit_config(geometry, plan, k) for k in (1, 2, 3)}
+    zeros = {(k, ell): np.zeros((1, 1), dtype=int) for k in (1, 2, 3) for ell in range(1, k + 1)}
+    assert transmit_batch(configs, zeros, 1)[0, 2] == 0.0
+    own = {(3, 1): np.array([[2]]), (3, 2): np.array([[-1]]), (3, 3): np.array([[1]])}
     expected = 0.0
     for ell in (1, 2, 3):
         lay = plan.layer(ell)
-        xi = config.gamma / lay.q_level
-        expected += p ** (-float(plan.alpha.alpha(ell - 1)) / 2) * xi * symbols[ell][0]
-    assert transmit_signal(config, symbols) == pytest.approx(expected, rel=1e-12)
+        xi = configs[3].gamma / lay.q_level
+        expected += p ** (-float(plan.alpha.alpha(ell - 1)) / 2) * xi * own[(3, ell)][0, 0]
+    x = transmit_batch(configs, {**zeros, **own}, 1)[0, 2]
+    assert x == pytest.approx(expected, rel=1e-12)
 
 
 def test_transmit_k2_single_layer_user1():
-    channel = sample_channel(2, seed=15)
+    geometry = build_geometry(sample_channel(2, seed=15), 1)
     plan = build_layer_plan(AlphaProfile.parse(["0.4", "1.0"]), 1, p=1e4)
-    config = build_transmit_config(channel, plan, 1)
+    config = build_transmit_config(geometry, plan, 1)
     assert len(config.layers) == 1
     q1 = plan.layer(1).q_level
-    x = transmit_signal(config, {1: np.array([q1])})
+    x = transmit_batch({1: config}, {(1, 1): np.array([[q1]])}, 1)[0, 0]
     assert x == pytest.approx(config.gamma)  # peak symbol hits gamma exactly
