@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -28,13 +29,7 @@ from .gdof_core import (
     optimal_sum_gdof,
     parse_rational,
 )
-from .link_sim import (
-    DEFAULT_ENUM_CAP,
-    SimConfig,
-    dmin_bruteforce,
-    run_monte_carlo,
-    t_bound,
-)
+from .link_sim import DEFAULT_ENUM_CAP, SimConfig, run_monte_carlo
 from .scheme import EnumerationCapError, build_geometry, build_layer_plan, power_normalizer
 
 SCHEMA_VERSION = "mlia-cli-1"
@@ -45,7 +40,9 @@ EXIT_CERTIFICATION = 2
 EXIT_CAP = 3
 
 # dense weight entries (2^jl bounds of 2K weights each) ``bounds`` will
-# build; K=2048 holds exactly this many and takes tens of seconds
+# write; the family is generated and certified as sparse rows, so this
+# bounds the size of the report, not the computation (K=2048 holds
+# exactly this many)
 MAX_BOUND_WEIGHTS = 1 << 22
 
 
@@ -282,30 +279,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _mindist_entries(cells: list[dict], k_users: int) -> list[dict]:
+    """The alignment cells of a zero-trial ``simulate`` report, per P point
+    in layer-major order (layer, then receiver).
+
+    ``simulate`` lists each P point's cells receiver-major, so among the
+    alignment cells a drop in the receiver index starts the next P point
+    (even when the grid repeats a P value).
+    """
+    blocks: list[list[dict]] = []
+    last_user = k_users + 1
+    for cell in cells:
+        if cell["layer"] > k_users - 2:
+            continue
+        if cell["user"] < last_user:
+            blocks.append([])
+        last_user = cell["user"]
+        blocks[-1].append(
+            {name: cell[name] for name in ("p", "user", "layer", "dmin", "tbound")}
+        )
+    return [entry for block in blocks
+            for entry in sorted(block, key=lambda e: (e["layer"], e["user"]))]
+
+
 def cmd_mindist(args) -> int:
     config = _sim_config(args)
-    alpha = config.profile()
-    channel = sample_channel(alpha.k_users, config.h_min, config.h_max, config.seed)
-    plans = [build_layer_plan(alpha, config.n, eps=config.eps, p=p) for p in config.p_grid]
-    geometry = build_geometry(channel, config.n)
-    entries = []
-    for p, plan in zip(config.p_grid, plans):
-        _, gamma = power_normalizer(geometry, plan)
-        for ell in range(1, alpha.k_users - 1):
-            if not plan.layer(ell).active:
-                continue
-            for k in range(ell, alpha.k_users + 1):
-                entries.append(
-                    {
-                        "p": p,
-                        "user": k,
-                        "layer": ell,
-                        "dmin": dmin_bruteforce(
-                            geometry, k, ell, plan, gamma, config.enum_cap
-                        ),
-                        "tbound": t_bound(geometry, plan, k, ell, gamma),
-                    }
-                )
+    # no trial is run and no noise is drawn, so the noise level is not
+    # checked; the report echoes it as given
+    report = run_monte_carlo(
+        dataclasses.replace(config, trials=0, with_dmin=True, noise_std=0.0)
+    )
+    entries = _mindist_entries(report.cells, len(config.alphas))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_json_dict(),

@@ -14,25 +14,36 @@ evaluates the matching inner bound:
       sum_j 2^{J-j+1} d_{l_j} + d_{l_{J+1}} + d_{l_{J+2}}
           <= sum_j 2^{J-j} a_{l_j} + a_{l_{J+2}}
 
-  for any strictly increasing user subset l_1 < ... < l_{J+2}.
+  for any strictly increasing user subset l_1 < ... < l_{J+2}.  A bound is
+  stored as a sparse row: its nonzero (user, weight) pairs on each side, so
+  it costs O(J) whatever K is; ``lhs_weights`` and ``rhs_weights`` are
+  dense views built on demand for the writers.
 
 * ``converse_family`` generates the family of 2^ceil(log2(K/2)) such
   inequalities whose per-user weight columns sum to fixed totals, so the
   family average collapses to the closed form above.  ``certify_family``
-  checks that identity exactly.
+  checks that identity exactly, and checks every bound twice more: it has
+  the paper's weight structure, and it holds with equality at the scheme's
+  per-user point d* = (a_1/2, ..., a_{K-1}/2, a_K - a_{K-1}/2), which joins
+  outer and inner bound user by user.
 
 * ``achievable_gdof`` evaluates the rate of the layered alignment scheme at
   a finite monomial-exponent range ``n``; its n -> infinity limit equals the
   optimal sum GDoF.
 
 Everything here is exact: inputs are ``fractions.Fraction``, weights are
-ints, and no floating point is used.
+ints, and no floating point is used.  Weighted sums of exponents are
+integer sums of numerators over the lcm D of the alpha denominators
+(``AlphaProfile.integer_form``), divided by D once at the end, so
+generating and certifying the family costs O(K + nonzero weights).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -103,32 +114,51 @@ class AlphaProfile:
             raise ValueError(f"user index {k} out of range [1, {self.k_users}]")
         return self.alphas[k - 1]
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (a_1 D, ..., a_K D)): the lcm D of the denominators and each
+        exponent's numerator over it."""
+        d = math.lcm(*(a.denominator for a in self.alphas))
+        return d, tuple(a.numerator * (d // a.denominator) for a in self.alphas)
+
+
+Pairs = tuple[tuple[int, int], ...]
+
+
+def _dense(k_users: int, pairs: Pairs) -> list[int]:
+    weights = [0] * k_users
+    for user, weight in pairs:
+        weights[user - 1] = weight
+    return weights
+
 
 @dataclass(frozen=True)
 class WeightedBound:
-    """One inequality sum_k lhs[k] d_k <= sum_k rhs[k] a_k (= rhs_value)."""
+    """One inequality sum_k lhs[k] d_k <= sum_k rhs[k] a_k (= rhs_value)
+    on ``k_users`` users, stored as the nonzero (user, weight) pairs of
+    each side on increasing users."""
 
-    lhs_weights: tuple[int, ...]
-    rhs_weights: tuple[int, ...]
+    k_users: int
+    lhs: Pairs
+    rhs: Pairs
     rhs_value: Fraction
+
+    @property
+    def lhs_weights(self) -> tuple[int, ...]:
+        """Dense left weights, one per user, built on each access."""
+        return tuple(_dense(self.k_users, self.lhs))
+
+    @property
+    def rhs_weights(self) -> tuple[int, ...]:
+        """Dense right weights, one per user, built on each access."""
+        return tuple(_dense(self.k_users, self.rhs))
 
     def to_json_dict(self) -> dict:
         return {
-            "lhs": list(self.lhs_weights),
-            "rhs": list(self.rhs_weights),
+            "lhs": _dense(self.k_users, self.lhs),
+            "rhs": _dense(self.k_users, self.rhs),
             "rhs_value": format_rational(self.rhs_value),
         }
-
-    def pretty(self) -> str:
-        def side(weights, sym):
-            terms = [
-                (f"{w}*" if w != 1 else "") + f"{sym}{k}"
-                for k, w in enumerate(weights, start=1)
-                if w
-            ]
-            return " + ".join(terms) if terms else "0"
-
-        return f"{side(self.lhs_weights, 'd')} <= {side(self.rhs_weights, 'a')}"
 
 
 @dataclass(frozen=True)
@@ -151,8 +181,14 @@ def family_size_exponent(k_users: int) -> int:
 
 def optimal_sum_gdof(alpha: AlphaProfile) -> Fraction:
     """(sum_k a_k + a_K - a_{K-1}) / 2, exactly."""
-    k = alpha.k_users
-    return (sum(alpha.alphas) + alpha.alpha(k) - alpha.alpha(k - 1)) / 2
+    d, nums = alpha.integer_form
+    return Fraction(sum(nums) + nums[-1] - nums[-2], 2 * d)
+
+
+def _weighted_sum(values: tuple[int, ...], pairs: Pairs) -> int:
+    """sum of weight * values[user - 1] over the (user, weight) pairs; with
+    the numerators of ``integer_form``, a side's exponent sum times D."""
+    return sum(weight * values[user - 1] for user, weight in pairs)
 
 
 def make_weighted_bound(
@@ -179,16 +215,13 @@ def make_weighted_bound(
     if any(a >= b for a, b in zip(subset, subset[1:])):
         raise ValueError(f"subset {subset} must be strictly increasing")
 
-    lhs = [0] * k
-    rhs = [0] * k
-    for pos, user in enumerate(subset[:j], start=1):
-        lhs[user - 1] += 2 ** (j - pos + 1)
-        rhs[user - 1] += 2 ** (j - pos)
-    lhs[subset[j] - 1] += 1
-    lhs[subset[j + 1] - 1] += 1
-    rhs[subset[j + 1] - 1] += 1
-    value = sum(w * a for w, a in zip(rhs, alpha.alphas))
-    return WeightedBound(tuple(lhs), tuple(rhs), value)
+    lhs = [(user, 1 << (j - pos)) for pos, user in enumerate(subset[:j])]
+    rhs = [(user, weight >> 1) for user, weight in lhs]
+    lhs += [(subset[j], 1), (subset[j + 1], 1)]
+    rhs.append((subset[j + 1], 1))
+    d, nums = alpha.integer_form
+    value = Fraction(_weighted_sum(nums, rhs), d)
+    return WeightedBound(k, tuple(lhs), tuple(rhs), value)
 
 
 def make_pair_bound(alpha: AlphaProfile, i: int, j: int) -> WeightedBound:
@@ -196,12 +229,10 @@ def make_pair_bound(alpha: AlphaProfile, i: int, j: int) -> WeightedBound:
     k = alpha.k_users
     if not 1 <= i < j <= k:
         raise ValueError(f"need 1 <= i < j <= {k}, got ({i}, {j})")
-    lhs = [0] * k
-    rhs = [0] * k
-    lhs[i - 1] = 1
-    lhs[j - 1] = 1
-    rhs[j - 1] = 1
-    return WeightedBound(tuple(lhs), tuple(rhs), alpha.alpha(j))
+    rhs = ((j, 1),)
+    d, nums = alpha.integer_form
+    value = Fraction(_weighted_sum(nums, rhs), d)
+    return WeightedBound(k, ((i, 1), (j, 1)), rhs, value)
 
 
 def _geometric_indices(k_users: int, jl: int, ell: int) -> list[int]:
@@ -263,13 +294,59 @@ def converse_family(alpha: AlphaProfile) -> BoundFamily:
     return BoundFamily(tuple(bounds), jl)
 
 
+def _check_bound(k: int, index: int, bound: WeightedBound, d: int,
+                 nums: tuple[int, ...], d_star: tuple[int, ...]) -> int:
+    """Check one bound of a K-user family; return its right side times D.
+
+    ``d_star`` is the scheme's per-user point times 2D.  The structure
+    check implies tightness at d*; tightness is checked first because it
+    is the certificate itself, and the structure check catches what it
+    cannot see, such as a weight moved between users of equal exponent.
+    """
+    where = f"bound {index}"
+    if bound.k_users != k:
+        raise CertificationError(f"{where} is a row over {bound.k_users} users, not {k}")
+    for pairs in (bound.lhs, bound.rhs):
+        users = [0, *(user for user, _ in pairs), k + 1]
+        if any(a >= b for a, b in zip(users, users[1:])):
+            raise CertificationError(
+                f"{where} is not a row on strictly increasing users 1..{k}"
+            )
+    value = _weighted_sum(nums, bound.rhs)
+    stored = bound.rhs_value
+    if value * stored.denominator != stored.numerator * d:
+        raise CertificationError(
+            f"{where}: stored rhs value {stored} != recomputed {Fraction(value, d)}"
+        )
+    if _weighted_sum(d_star, bound.lhs) != 2 * value:
+        raise CertificationError(
+            f"{where} is not tight at d* = (a_1/2, ..., a_{{K-1}}/2, a_K - a_{{K-1}}/2)"
+        )
+    geometric = bound.lhs[:-2]
+    depth = len(geometric)
+    if (
+        bound.lhs[-2:] != ((k - 1, 1), (k, 1))
+        or [w for _, w in geometric] != [1 << (depth - i) for i in range(depth)]
+        or bound.rhs != tuple((u, w >> 1) for u, w in geometric) + ((k, 1),)
+    ):
+        raise CertificationError(
+            f"{where} lacks the weights 2^J, ..., 2, 1, 1 on the left and "
+            f"2^(J-1), ..., 1, 0, 1 on the right"
+        )
+    return value
+
+
 def certify_family(alpha: AlphaProfile, family: BoundFamily) -> Fraction:
     """Exact check that the family averages to the optimal sum GDoF.
 
-    Verifies the fixed column sums (left weight 2^jl on every user; right
-    weight 2^{jl-1} on users 1..K-2, zero on user K-1 and 2^jl on user K),
-    re-derives every right-hand value from the profile, and returns the
-    family average, which must equal ``optimal_sum_gdof`` exactly.
+    Checks every bound (``_check_bound``): a sparse row on strictly
+    increasing users, its stored right-hand value, equality at the
+    scheme's point d* = (a_1/2, ..., a_{K-1}/2, a_K - a_{K-1}/2), and the
+    paper's weight structure.  Then checks the fixed column sums (left
+    weight 2^jl on every user; right weight 2^{jl-1} on users 1..K-2, zero
+    on user K-1 and 2^jl on user K) and returns the family average, which
+    must equal ``optimal_sum_gdof`` exactly.  All sums are integers over
+    the profile's ``integer_form``, so this costs O(K + nonzero weights).
     """
     k = alpha.k_users
     jl = family.jl
@@ -279,25 +356,23 @@ def certify_family(alpha: AlphaProfile, family: BoundFamily) -> Fraction:
         raise CertificationError(
             f"family has {len(family.bounds)} bounds, expected {1 << jl}"
         )
+    d, nums = alpha.integer_form
+    d_star = nums[:-1] + (2 * nums[-1] - nums[-2],)
     lhs_cols = [0] * k
     rhs_cols = [0] * k
-    total = Fraction(0)
-    for bound in family.bounds:
-        value = sum(w * a for w, a in zip(bound.rhs_weights, alpha.alphas))
-        if value != bound.rhs_value:
-            raise CertificationError(
-                f"stored rhs value {bound.rhs_value} != recomputed {value}"
-            )
-        for idx in range(k):
-            lhs_cols[idx] += bound.lhs_weights[idx]
-            rhs_cols[idx] += bound.rhs_weights[idx]
-        total += value
+    total = 0
+    for index, bound in enumerate(family.bounds, start=1):
+        total += _check_bound(k, index, bound, d, nums, d_star)
+        for user, weight in bound.lhs:
+            lhs_cols[user - 1] += weight
+        for user, weight in bound.rhs:
+            rhs_cols[user - 1] += weight
     if lhs_cols != [1 << jl] * k:
         raise CertificationError(f"left column sums {lhs_cols} != {1 << jl}")
     expected_rhs = [1 << (jl - 1)] * (k - 2) + [0, 1 << jl]
     if rhs_cols != expected_rhs:
         raise CertificationError(f"right column sums {rhs_cols} != {expected_rhs}")
-    average = total / (1 << jl)
+    average = Fraction(total, d << jl)
     if average != optimal_sum_gdof(alpha):
         raise CertificationError(
             f"family average {average} != optimum {optimal_sum_gdof(alpha)}"

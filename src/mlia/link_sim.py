@@ -203,20 +203,16 @@ def _check_cap(what: str, n_dims: int, m_dims: int, k_layer: int, q: int, cap: i
         raise EnumerationCapError(what, size, cap)
 
 
-def _check_alignment_cap(plan: LayerPlan, k: int, ell: int, cap: int):
-    lay = plan.layer(ell)
-    _check_cap(
-        f"decode search for (user {k}, layer {ell})",
-        lay.n_dims, lay.m_dims, lay.k_users, lay.q_level, cap,
-    )
-
-
 def _check_bank_caps(plan: LayerPlan, cap: int):
     """Every cap check of ``build_decoder_bank``, from the plan alone."""
     kk = plan.k_users
     for ell in range(1, kk - 1):
-        if plan.layer(ell).active:
-            _check_alignment_cap(plan, ell, ell, cap)
+        lay = plan.layer(ell)
+        if lay.active:  # every receiver of the layer searches the same space
+            _check_cap(
+                f"decode search for (user {ell}, layer {ell})",
+                lay.n_dims, lay.m_dims, lay.k_users, lay.q_level, cap,
+            )
     if plan.layer(kk - 1).active:
         _check_cap("pair decode", 2, 2, 1, plan.layer(kk - 1).q_level, cap)
     if plan.layer(kk).active:
@@ -244,16 +240,6 @@ def _cell_decoder(
     exponent = float(plan.alpha.alpha(k) - lay.power_offset)
     scale = gamma / q * plan.p ** (exponent / 2)
     return NearestPointDecoder(scale=scale, dim_values=dims, half_ranges=halves)
-
-
-def dmin_bruteforce(
-    geometry: SchemeGeometry, k: int, ell: int, plan: LayerPlan, gamma: float,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> float:
-    """Smallest nonzero point magnitude of the composite constellation at
-    (k, ell): its distance from the origin (see ``min_distance``)."""
-    _check_alignment_cap(plan, k, ell, cap)
-    return _cell_decoder(geometry, plan, gamma, k, ell).min_distance()
 
 
 def t_bound(

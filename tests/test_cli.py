@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import mlia.cli as cli
 from mlia.gdof_core import BoundFamily, WeightedBound
@@ -57,13 +58,49 @@ def test_bounds_k2_routes_to_pair(capsys):
 def test_bounds_certification_failure_exit_code(capsys, monkeypatch):
     def corrupt(alpha):
         k = alpha.k_users
-        bound = WeightedBound((1,) * k, (1,) * k, sum(alpha.alphas))
+        ones = tuple((u, 1) for u in range(1, k + 1))
+        bound = WeightedBound(k, ones, ones, sum(alpha.alphas))
         return BoundFamily((bound, bound), 1)
 
     monkeypatch.setattr(cli, "converse_family", corrupt)
     code, _, err = run_cli(capsys, "bounds", "--alphas", "0.5,0.8,1.0")
     assert code == 2
     assert "certification" in err.lower()
+
+
+EIGHTHS = "1/8,1/4,3/8,1/2,5/8,3/4,7/8,1"
+
+
+def test_bounds_swapped_rows_exit_code(capsys, monkeypatch):
+    """Swapping the left rows of bounds 1 and 2 keeps the column sums and
+    the average, but the rows are no longer tight at d*."""
+    family_of = cli.converse_family
+
+    def swapped(alpha):
+        family = family_of(alpha)
+        first, second = family.bounds[:2]
+        bounds = (replace(first, lhs=second.lhs), replace(second, lhs=first.lhs))
+        return BoundFamily(bounds + family.bounds[2:], family.jl)
+
+    monkeypatch.setattr(cli, "converse_family", swapped)
+    code, out, err = run_cli(capsys, "bounds", "--alphas", EIGHTHS)
+    assert code == 2 and not out
+    assert "bound 1 is not tight" in err
+
+
+def test_bounds_moved_weight_exit_code(capsys, monkeypatch):
+    family_of = cli.converse_family
+
+    def moved(alpha):
+        family = family_of(alpha)
+        first = family.bounds[0]  # 4 d1 + 2 d3 + d7 + d8: move 2 d3 to user 4
+        lhs = tuple((4 if u == 3 else u, w) for u, w in first.lhs)
+        return BoundFamily((replace(first, lhs=lhs),) + family.bounds[1:], family.jl)
+
+    monkeypatch.setattr(cli, "converse_family", moved)
+    code, out, err = run_cli(capsys, "bounds", "--alphas", EIGHTHS)
+    assert code == 2 and not out
+    assert "bound 1 " in err
 
 
 def test_scheme_reports_plan_and_power(capsys):

@@ -7,11 +7,15 @@ weight template by hand, and the achievability numbers from the N/M
 counting formulas.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlia.gdof_core as gdof_core
 from conftest import random_profile
 from mlia.gdof_core import (
     AlphaProfile,
@@ -206,16 +210,15 @@ def test_certify_flags_tampering():
     family = converse_family(alpha)
     bad = list(family.bounds)
     bad[0] = WeightedBound(
-        lhs_weights=(1,) + bad[0].lhs_weights[1:],
-        rhs_weights=bad[0].rhs_weights,
+        k_users=3,
+        lhs=((1, 1),) + bad[0].lhs[1:],
+        rhs=bad[0].rhs,
         rhs_value=bad[0].rhs_value,
     )
     with pytest.raises(CertificationError):
         certify_family(alpha, type(family)(tuple(bad), family.jl))
     worse = list(family.bounds)
-    worse[1] = WeightedBound(
-        worse[1].lhs_weights, worse[1].rhs_weights, worse[1].rhs_value + 1
-    )
+    worse[1] = WeightedBound(3, worse[1].lhs, worse[1].rhs, worse[1].rhs_value + 1)
     with pytest.raises(CertificationError):
         certify_family(alpha, type(family)(tuple(worse), family.jl))
 
@@ -231,10 +234,101 @@ def test_certify_generalizes_past_sixteen_users():
         assert certify_family(alpha, converse_family(alpha)) == optimal_sum_gdof(alpha)
 
 
-def test_bound_pretty_rendering():
+def test_certify_checks_each_bound(monkeypatch):
+    """Rearrangements that keep the column sums and the average: swapped
+    left rows are not tight at d*, a weight moved between users of equal
+    exponent is tight but lacks the paper's structure, and a row must list
+    each user once, in order."""
+    eighths = AlphaProfile(tuple(F(i, 8) for i in range(1, 9)))
+    family = converse_family(eighths)
+    first, second = family.bounds[:2]
+    swapped = (replace(first, lhs=second.lhs), replace(second, lhs=first.lhs))
+    with pytest.raises(CertificationError, match="bound 1 is not tight at d"):
+        certify_family(eighths, type(family)(swapped + family.bounds[2:], family.jl))
+
+    ones = AlphaProfile((F(1),) * 8)
+    family = converse_family(ones)
+    first, second = family.bounds[:2]
+    moved = (  # left weight 4 of user 1 goes to user 2 and back
+        replace(first, lhs=((2, 4),) + first.lhs[1:]),
+        replace(second, lhs=((1, 4),) + second.lhs[1:]),
+    )
+    with pytest.raises(CertificationError, match="bound 1 lacks the weights"):
+        certify_family(ones, type(family)(moved + family.bounds[2:], family.jl))
+
+    reversed_row = replace(first, lhs=first.lhs[::-1])
+    with pytest.raises(CertificationError, match="strictly increasing users"):
+        certify_family(ones, type(family)((reversed_row,) + family.bounds[1:], family.jl))
+
+
+def test_bound_sparse_pairs():
     alpha = AlphaProfile(tuple(F(i, 8) for i in range(1, 9)))
     bound = make_weighted_bound(alpha, (1, 3, 7, 8), 2)
-    assert bound.pretty() == "4*d1 + 2*d3 + d7 + d8 <= 2*a1 + a3 + a8"
+    assert bound.lhs == ((1, 4), (3, 2), (7, 1), (8, 1))
+    assert bound.rhs == ((1, 2), (3, 1), (8, 1))
+
+
+def dense_weighted_bound(alpha, subset, j):
+    """The dense construction of ``make_weighted_bound``: K-tuples of
+    weights and a ``Fraction`` sum, the oracle for the sparse rows."""
+    k = alpha.k_users
+    lhs = [0] * k
+    rhs = [0] * k
+    for pos, user in enumerate(subset[:j], start=1):
+        lhs[user - 1] += 2 ** (j - pos + 1)
+        rhs[user - 1] += 2 ** (j - pos)
+    lhs[subset[j] - 1] += 1
+    lhs[subset[j + 1] - 1] += 1
+    rhs[subset[j + 1] - 1] += 1
+    return tuple(lhs), tuple(rhs), sum(w * a for w, a in zip(rhs, alpha.alphas))
+
+
+@st.composite
+def profiles(draw, k_min=3, k_max=64):
+    k = draw(st.integers(k_min, k_max))
+    values = []
+    for _ in range(k):
+        den = draw(st.integers(1, 10_000))
+        values.append(F(draw(st.integers(1, den)), den))
+    return AlphaProfile(tuple(sorted(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=profiles(), data=st.data())
+def test_sparse_rows_match_dense_oracle(alpha, data):
+    k = alpha.k_users
+    rows = []
+    for bound in converse_family(alpha).bounds:
+        users = [u for u, w in bound.lhs if w >= 2]
+        rows.append((bound, users + [k - 1, k], len(users)))
+    j = data.draw(st.integers(1, family_size_exponent(k)))
+    subset = sorted(data.draw(st.sets(st.integers(1, k), min_size=j + 2, max_size=j + 2)))
+    rows.append((make_weighted_bound(alpha, subset, j), subset, j))
+    for bound, subset, j in rows:
+        if j:
+            lhs, rhs, value = dense_weighted_bound(alpha, subset, j)
+        else:  # the pair bound d_{K-1} + d_K <= a_K
+            lhs = (0,) * (k - 2) + (1, 1)
+            rhs = (0,) * (k - 1) + (1,)
+            value = alpha.alphas[-1]
+        assert bound.lhs_weights == lhs and bound.rhs_weights == rhs
+        assert bound.lhs == tuple((u, w) for u, w in enumerate(lhs, start=1) if w)
+        assert bound.rhs == tuple((u, w) for u, w in enumerate(rhs, start=1) if w)
+        assert bound.rhs_value == value
+
+
+def test_family_certifies_without_dense_views(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a dense weight view was built")
+
+    monkeypatch.setattr(WeightedBound, "lhs_weights", property(forbidden))
+    monkeypatch.setattr(WeightedBound, "rhs_weights", property(forbidden))
+    monkeypatch.setattr(gdof_core, "_dense", forbidden)
+    k = 4096
+    alpha = AlphaProfile(tuple(F(i, k) for i in range(1, k + 1)))
+    family = converse_family(alpha)
+    assert len(family) == 2048
+    assert certify_family(alpha, family) == optimal_sum_gdof(alpha)
 
 
 def test_bound_json_shape():

@@ -15,7 +15,6 @@ from mlia.link_sim import (
     NearestPointDecoder,
     SimConfig,
     build_decoder_bank,
-    dmin_bruteforce,
     draw_symbols_batch,
     realized_residual_batch,
     run_monte_carlo,
@@ -153,7 +152,7 @@ def test_cell_decoder_matches_exhaustive_oracle():
 def test_cell_cap_guard():
     geometry, plan, gamma, _ = make_setup(1e8, eps=F(1, 1000))
     with pytest.raises(EnumerationCapError, match="exceeds cap"):
-        dmin_bruteforce(geometry, 1, 1, plan, gamma, cap=10)
+        build_decoder_bank(geometry, plan, gamma=gamma, cap=10)
 
 
 def test_bank_cap_is_exact_at_the_cap():
@@ -166,9 +165,8 @@ def test_bank_cap_is_exact_at_the_cap():
         build_decoder_bank(geometry, plan, gamma=gamma, cap=146)
 
 
-def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
-    """K=5, n=2 needs about 10^3.8M points at layer 1: the refusal names the
-    size from logarithms and builds no monomial set."""
+def forbid_set_builders(monkeypatch):
+    """Make every dimension-set builder fail the test; returns ``mlia.cli``."""
     import mlia.cli as cli
     import mlia.link_sim as link_sim
     import mlia.scheme as scheme
@@ -182,6 +180,13 @@ def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
         (link_sim, "build_geometry"), (cli, "build_geometry"),
     ):
         monkeypatch.setattr(module, name, forbidden)
+    return cli
+
+
+def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
+    """K=5, n=2 needs about 10^3.8M points at layer 1: the refusal names the
+    size from logarithms and builds no monomial set."""
+    cli = forbid_set_builders(monkeypatch)
     code = cli.main([
         "simulate", "--alphas", "0.2,0.4,0.6,0.8,1.0", "--n", "2",
         "--p-grid", "1e6,1e8", "--trials", "1000",
@@ -189,6 +194,16 @@ def test_huge_search_space_refused_before_any_set(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "decode search for (user 1, layer 1): enumeration size about 10^" in err
+
+
+def test_mindist_huge_search_space_refused_before_any_set(monkeypatch, capsys):
+    cli = forbid_set_builders(monkeypatch)
+    code = cli.main([
+        "mindist", "--alphas", "0.2,0.4,0.6,0.8,1.0", "--n", "2", "--p-grid", "1e8",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "decode search for (user 1, layer 1): enumeration size about 10^" in captured.err
 
 
 def test_nearest_point_tie_breaks_lexicographically():
@@ -370,7 +385,7 @@ def test_decode_exact_whenever_margins_hold():
 
     margins_ok = np.ones(trials, dtype=bool)
     for k in (1, 2, 3):  # alignment layer at every receiver
-        dmin = dmin_bruteforce(geometry, k, 1, plan, gamma)
+        dmin = bank.decoders[(k, 1)].min_distance()
         bound = t_bound(geometry, plan, k, 1, gamma)
         margins_ok &= np.abs(noise[:, k - 1]) + bound < dmin / 2
     for k in (2, 3):  # pair layer; the last layer is the residual there
@@ -415,9 +430,9 @@ def test_dmin_positive_on_random_channels():
     for seed in range(100):
         geometry = build_geometry(sample_channel(3, seed=seed), 1)
         plan = build_layer_plan(ALPHA3, 1, eps=F(1, 1000), p=plan_p)
-        _, gamma = power_normalizer(geometry, plan)
+        bank = build_decoder_bank(geometry, plan)
         for k in (1, 2, 3):
-            assert dmin_bruteforce(geometry, k, 1, plan, gamma) > 0.0
+            assert bank.decoders[(k, 1)].min_distance() > 0.0
 
 
 def test_t_bound_hand_formula_k3():
